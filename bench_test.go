@@ -19,7 +19,7 @@ import (
 	"cuttlego/internal/circuit"
 	"cuttlego/internal/cppgen"
 	"cuttlego/internal/cuttlesim"
-	"cuttlego/internal/rtlsim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/sim"
 	"cuttlego/internal/verilog"
 )
@@ -46,13 +46,13 @@ func runEngine(b *testing.B, bm bench.Benchmark, eng bench.Engine) {
 
 func BenchmarkFig1(b *testing.B) {
 	engines := []bench.Engine{
-		bench.EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure),
-		bench.EngRTL(circuit.StyleKoika, rtlsim.Closure),
-		bench.EngRTLOpt(circuit.StyleKoika, rtlsim.Fused, true),
+		{Spec: engine.MustParse("cuttlesim(static,closure)")},
+		{Spec: engine.MustParse("rtlsim(koika,closure)")},
+		{Spec: engine.MustParse("rtlsim(koika,fused,opt)")},
 	}
 	for _, bm := range bench.Suite() {
 		for _, eng := range engines {
-			b.Run(fmt.Sprintf("%s/%s", bm.Name, eng.Name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", bm.Name, eng), func(b *testing.B) {
 				runEngine(b, bm, eng)
 			})
 		}
@@ -70,7 +70,7 @@ func BenchmarkFig2(b *testing.B) {
 		}
 		for _, style := range []circuit.Style{circuit.StyleKoika, circuit.StyleBluespec} {
 			b.Run(fmt.Sprintf("%s/%s", bm.Name, style), func(b *testing.B) {
-				runEngine(b, bm, bench.EngRTL(style, rtlsim.Closure))
+				runEngine(b, bm, bench.Engine{Spec: engine.MustParse(fmt.Sprintf("rtlsim(%v,closure)", style))})
 			})
 		}
 	}
@@ -78,12 +78,12 @@ func BenchmarkFig2(b *testing.B) {
 
 func BenchmarkFig3(b *testing.B) {
 	engines := []bench.Engine{
-		bench.EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure),
-		bench.EngCuttlesim(cuttlesim.LStatic, cuttlesim.Bytecode),
-		bench.EngRTL(circuit.StyleKoika, rtlsim.Closure),
-		bench.EngRTL(circuit.StyleKoika, rtlsim.Switch),
-		bench.EngRTL(circuit.StyleKoika, rtlsim.Fused),
-		bench.EngRTLOpt(circuit.StyleKoika, rtlsim.Fused, true),
+		{Spec: engine.MustParse("cuttlesim(static,closure)")},
+		{Spec: engine.MustParse("cuttlesim(static,bytecode)")},
+		{Spec: engine.MustParse("rtlsim(koika,closure)")},
+		{Spec: engine.MustParse("rtlsim(koika,switch)")},
+		{Spec: engine.MustParse("rtlsim(koika,fused)")},
+		{Spec: engine.MustParse("rtlsim(koika,fused,opt)")},
 	}
 	for _, name := range []string{"rv32i", "fir"} {
 		bm, ok := bench.Lookup(name)
@@ -91,7 +91,7 @@ func BenchmarkFig3(b *testing.B) {
 			b.Fatal("missing benchmark", name)
 		}
 		for _, eng := range engines {
-			b.Run(fmt.Sprintf("%s/%s", bm.Name, eng.Name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", bm.Name, eng), func(b *testing.B) {
 				runEngine(b, bm, eng)
 			})
 		}
@@ -102,7 +102,7 @@ func BenchmarkAblation(b *testing.B) {
 	bm, _ := bench.Lookup("rv32i")
 	for _, level := range cuttlesim.Levels() {
 		b.Run(level.String(), func(b *testing.B) {
-			runEngine(b, bm, bench.EngCuttlesim(level, cuttlesim.Closure))
+			runEngine(b, bm, bench.Engine{Spec: engine.MustParse(fmt.Sprintf("cuttlesim(%v,closure)", level))})
 		})
 	}
 }

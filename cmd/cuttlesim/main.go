@@ -4,11 +4,15 @@
 //
 // Usage:
 //
-//	cuttlesim [-engine cuttlesim|interp|rtl|rtl-opt] [-level N] [-backend closure|bytecode]
-//	          [-cycles N] [-timeout D] [-maxerrors N] [-cover] [-vcd file] [-regs] <design>
+//	cuttlesim [-engine name] [-cycles N] [-timeout D] [-maxerrors N]
+//	          [-cover] [-profile] [-vcd file] [-regs] <design>
 //
-// The rtl-opt engine runs the netlist through the netopt pipeline and the
-// fused rtlsim backend — the strengthened circuit-level configuration.
+// -engine takes an engine registry name (see internal/engine), default
+// cuttlesim(static,closure): for example cuttlesim(naive,bytecode),
+// interp, rtlsim(koika,switch), or rtlsim(koika,fused,opt) — the netopt
+// pipeline plus the fused backend, the strengthened circuit-level
+// configuration. -cover requires a cuttlesim engine; -profile reports
+// only for one.
 //
 // Exit codes: 0 on success, 1 when the input is at fault (including a run
 // stopped by -timeout), 2 on an internal toolchain error.
@@ -21,13 +25,10 @@ import (
 	"time"
 
 	"cuttlego/internal/bench"
-	"cuttlego/internal/circuit"
 	"cuttlego/internal/cli"
 	"cuttlego/internal/cover"
 	"cuttlego/internal/cuttlesim"
-	"cuttlego/internal/interp"
-	"cuttlego/internal/netopt"
-	"cuttlego/internal/rtlsim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/sim"
 	"cuttlego/internal/vcd"
 )
@@ -35,9 +36,7 @@ import (
 func main() {
 	fs := cli.Flags("cuttlesim")
 	var (
-		engine    = fs.String("engine", "cuttlesim", "engine: cuttlesim, interp, rtl, or rtl-opt")
-		level     = fs.Int("level", int(cuttlesim.LStatic), "cuttlesim optimization level 0..7")
-		backend   = fs.String("backend", "closure", "cuttlesim backend: closure or bytecode")
+		engName   = fs.String("engine", "cuttlesim(static,closure)", "engine registry name, e.g. interp or rtlsim(koika,fused,opt)")
 		cycles    = fs.Uint64("cycles", 1000, "cycles to simulate")
 		timeout   = fs.Duration("timeout", 0, "wall-clock budget for the simulation (0 = none)")
 		maxErrors = fs.Int("maxerrors", 0, "cap on reported frontend errors (0 = default, -1 = unlimited)")
@@ -50,59 +49,34 @@ func main() {
 	if fs.NArg() != 1 {
 		cli.Usage("usage: cuttlesim [flags] <design>\ncatalogued designs: %v\n", bench.Names())
 	}
-	if err := run(fs.Arg(0), *engine, cuttlesim.Level(*level), *backend, *cycles, *timeout, *maxErrors, *covFlag, *profile, *vcdPath, *regs); err != nil {
+	if err := run(fs.Arg(0), *engName, *cycles, *timeout, *maxErrors, *covFlag, *profile, *vcdPath, *regs); err != nil {
 		cli.Fail("cuttlesim", err)
 	}
 }
 
-func run(ref, engine string, level cuttlesim.Level, backendName string, cycles uint64,
+func run(ref, engName string, cycles uint64,
 	timeout time.Duration, maxErrors int, coverage, profile bool, vcdPath string, printRegs bool) error {
+	spec, err := engine.Parse(engName)
+	if err != nil {
+		return err
+	}
 	inst, err := bench.LoadWith(ref, bench.LoadOpts{MaxErrors: maxErrors})
 	if err != nil {
 		return err
 	}
 	d := inst.Design
-
-	var eng sim.Engine
-	var cs *cuttlesim.Simulator
-	switch engine {
-	case "cuttlesim":
-		backend := cuttlesim.Closure
-		if backendName == "bytecode" {
-			backend = cuttlesim.Bytecode
-		}
-		cs, err = cuttlesim.New(d, cuttlesim.Options{Level: level, Backend: backend, Coverage: coverage, Profile: profile})
-		if err != nil {
-			return err
-		}
+	eng, err := spec.Build(d, inst.Native, nil, engine.Instrument{Coverage: coverage, Profile: profile})
+	if err != nil {
+		return err
+	}
+	cs, _ := eng.(*cuttlesim.Simulator)
+	if coverage && cs == nil {
+		return fmt.Errorf("-cover requires the cuttlesim engine")
+	}
+	if cs != nil {
 		for _, w := range cs.Warnings() {
 			fmt.Fprintln(os.Stderr, "warning:", w)
 		}
-		eng = cs
-	case "interp":
-		eng, err = interp.New(d)
-		if err != nil {
-			return err
-		}
-	case "rtl", "rtl-opt":
-		ckt, err := circuit.Compile(d, circuit.StyleKoika)
-		if err != nil {
-			return err
-		}
-		opts := rtlsim.Options{}
-		if engine == "rtl-opt" {
-			ckt = netopt.MustOptimize(ckt)
-			opts.Backend = rtlsim.Fused
-		}
-		eng, err = rtlsim.New(ckt, opts)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown engine %q", engine)
-	}
-	if coverage && cs == nil {
-		return fmt.Errorf("-cover requires the cuttlesim engine")
 	}
 
 	ctx := context.Background()
@@ -127,7 +101,7 @@ func run(ref, engine string, level cuttlesim.Level, backendName string, cycles u
 		if err != nil {
 			return fmt.Errorf("simulation stopped after %d of %d cycles: %w", n, cycles, err)
 		}
-		fmt.Printf("simulated %d cycles of %s on %s\n", n, d.Name, engine)
+		fmt.Printf("simulated %d cycles of %s on %s\n", n, d.Name, spec)
 	}
 
 	fmt.Println("\nrule status (last cycle):")

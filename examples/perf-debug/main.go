@@ -12,6 +12,7 @@ import (
 
 	"cuttlego/internal/cuttlesim"
 	"cuttlego/internal/debug"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/riscv"
 	"cuttlego/internal/rvcore"
 	"cuttlego/internal/workload"
@@ -28,10 +29,11 @@ func main() {
 		if err := d.Check(); err != nil {
 			log.Fatal(err)
 		}
-		s, err := cuttlesim.New(d, cuttlesim.Options{Level: cuttlesim.LStatic, Profile: true})
+		e, err := engine.MustParse("cuttlesim(static,closure)").Build(d, nil, nil, engine.Instrument{Profile: true})
 		if err != nil {
 			log.Fatal(err)
 		}
+		s := e.(*cuttlesim.Simulator)
 		res, err := rvcore.RunProgram(s, rvcore.NewBench(core), 10_000)
 		if err != nil {
 			log.Fatal(err)

@@ -13,6 +13,7 @@ import (
 
 	"cuttlego/internal/cover"
 	"cuttlego/internal/cuttlesim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/riscv"
 	"cuttlego/internal/rvcore"
 	"cuttlego/internal/workload"
@@ -34,10 +35,11 @@ func main() {
 		if err := d.Check(); err != nil {
 			log.Fatal(err)
 		}
-		s, err := cuttlesim.New(d, cuttlesim.Options{Level: cuttlesim.LStatic, Coverage: true})
+		e, err := engine.MustParse("cuttlesim(static,closure)").Build(d, nil, nil, engine.Instrument{Coverage: true})
 		if err != nil {
 			log.Fatal(err)
 		}
+		s := e.(*cuttlesim.Simulator)
 		res, err := rvcore.RunProgram(s, rvcore.NewBench(core), 5_000_000)
 		if err != nil {
 			log.Fatal(err)

@@ -15,7 +15,7 @@ import (
 	"math/rand"
 
 	"cuttlego/internal/bench"
-	"cuttlego/internal/cuttlesim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/riscv"
 	"cuttlego/internal/rvcore"
 	"cuttlego/internal/workload"
@@ -52,7 +52,7 @@ func main() {
 		if err := d.Check(); err != nil {
 			return outcome{err: err}
 		}
-		s, err := cuttlesim.New(d, cuttlesim.DefaultOptions())
+		s, err := engine.MustParse("cuttlesim(static,closure)").Build(d, nil, nil, engine.Instrument{})
 		if err != nil {
 			return outcome{err: err}
 		}

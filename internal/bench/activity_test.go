@@ -7,6 +7,7 @@ import (
 
 	"cuttlego/internal/bench"
 	"cuttlego/internal/cuttlesim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/interp"
 	"cuttlego/internal/sim"
 )
@@ -103,11 +104,11 @@ func TestIdleBenchActivityAgrees(t *testing.T) {
 	if !ok {
 		t.Fatal("idle benchmark missing from catalogue")
 	}
-	ms, err := bench.Measure(bm, bench.EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure), 4000)
+	ms, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")}, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, err := bench.Measure(bm, bench.EngCuttlesim(cuttlesim.LActivity, cuttlesim.Closure), 4000)
+	ma, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("cuttlesim(activity,closure)")}, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,11 @@ import (
 	"time"
 
 	"cuttlego/internal/ast"
-	"cuttlego/internal/circuit"
-	"cuttlego/internal/cuttlesim"
 	"cuttlego/internal/dsp"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/gomodel"
-	"cuttlego/internal/interp"
 	"cuttlego/internal/native"
-	"cuttlego/internal/netopt"
 	"cuttlego/internal/riscv"
-	"cuttlego/internal/rtlsim"
 	"cuttlego/internal/rvcore"
 	"cuttlego/internal/sim"
 	"cuttlego/internal/stm"
@@ -288,116 +284,36 @@ func ParallelStress(nrules, depth int) *ast.Design {
 	return d
 }
 
-// Engine identifies one simulation pipeline configuration.
+// Engine is a registry engine as the harness runs it. Cache is the AOT
+// compile cache the native engine builds through (compile time is paid in
+// Make, outside the timed window, and warm runs reuse the cached binary);
+// the in-process engines ignore it.
 type Engine struct {
-	Name string
-	Make func(Instance) (sim.Engine, error)
-	// SelfDriving marks engines that embed the instance's testbench (the
-	// native tier compiles it into the binary): the harness must not apply
-	// inst.Bench on top, and may advance the engine in batches.
-	SelfDriving bool
+	engine.Spec
+	Cache *native.Cache
 }
 
-// EngNative builds the AOT native-tier engine spec: the design (plus its
-// serialized testbench and memory images) is compiled to a standalone
-// binary through the given cache and supervised as a subprocess. Compile
-// time is paid inside Make, outside the timed window — warm runs reuse the
-// cached binary.
-func EngNative(c *native.Cache) Engine {
-	return Engine{
-		Name:        "native",
-		SelfDriving: true,
-		Make: func(inst Instance) (sim.Engine, error) {
-			return c.Engine(inst.Design, inst.Native)
-		},
+// named resolves a literal registry name for the harness's grids.
+func named(name string) Engine { return Engine{Spec: engine.MustParse(name)} }
+
+// engines is named over a list.
+func engines(names ...string) []Engine {
+	out := make([]Engine, len(names))
+	for i, n := range names {
+		out[i] = named(n)
 	}
+	return out
 }
 
-// EngCuttlesim builds a Cuttlesim engine spec.
-func EngCuttlesim(level cuttlesim.Level, backend cuttlesim.Backend) Engine {
-	return Engine{
-		Name: fmt.Sprintf("cuttlesim(%v,%v)", level, backend),
-		Make: func(inst Instance) (sim.Engine, error) {
-			return cuttlesim.New(inst.Design, cuttlesim.Options{Level: level, Backend: backend})
-		},
-	}
+// Make builds the engine over a benchmark instance.
+func (e Engine) Make(inst Instance) (sim.Engine, error) {
+	return e.Build(inst.Design, inst.Native, e.Cache, engine.Instrument{})
 }
 
-// EngRTL builds a circuit-level engine spec (the Verilator substitute).
-func EngRTL(style circuit.Style, backend rtlsim.Backend) Engine {
-	return EngRTLOpt(style, backend, false)
-}
-
-// EngRTLOpt builds a circuit-level engine spec, optionally running the
-// netopt pipeline (dead-net elimination, constant sweep, CSE) on the
-// netlist first. The optimized fused configuration is the strengthened
-// Verilator stand-in the honest Figure 1 comparison runs against.
-func EngRTLOpt(style circuit.Style, backend rtlsim.Backend, optimize bool) Engine {
-	name := fmt.Sprintf("rtlsim(%v,%v)", style, backend)
-	if optimize {
-		name = fmt.Sprintf("rtlsim(%v,%v,opt)", style, backend)
-	}
-	return Engine{
-		Name: name,
-		Make: func(inst Instance) (sim.Engine, error) {
-			ckt, err := circuit.Compile(inst.Design, style)
-			if err != nil {
-				return nil, err
-			}
-			if optimize {
-				ckt = netopt.MustOptimize(ckt)
-			}
-			return rtlsim.New(ckt, rtlsim.Options{Backend: backend})
-		},
-	}
-}
-
-// EngCuttlesimPar builds a parallel Cuttlesim engine spec: conflict-free
-// rule groups at LStatic executed on a pool of the given width. workers of
-// 1 is the plain sequential static engine — the natural w=1 point of a
-// scaling curve.
-func EngCuttlesimPar(backend cuttlesim.Backend, workers int) Engine {
-	return Engine{
-		Name: fmt.Sprintf("cuttlesim-par(%v,w%d)", backend, workers),
-		Make: func(inst Instance) (sim.Engine, error) {
-			return cuttlesim.New(inst.Design, cuttlesim.Options{
-				Level: cuttlesim.LStatic, Backend: backend, Workers: workers,
-			})
-		},
-	}
-}
-
-// EngRTLPar builds a parallel rtlsim engine spec: BSP-sharded levelized
-// evaluation of the Kôika-style netlist (netopt-optimized when optimize is
-// set) on a pool of the given width. workers of 1 is the sequential fused
-// backend.
-func EngRTLPar(optimize bool, workers int) Engine {
-	name := fmt.Sprintf("rtlsim-par(koika,w%d)", workers)
-	if optimize {
-		name = fmt.Sprintf("rtlsim-par(koika,opt,w%d)", workers)
-	}
-	return Engine{
-		Name: name,
-		Make: func(inst Instance) (sim.Engine, error) {
-			ckt, err := circuit.Compile(inst.Design, circuit.StyleKoika)
-			if err != nil {
-				return nil, err
-			}
-			if optimize {
-				ckt = netopt.MustOptimize(ckt)
-			}
-			return rtlsim.New(ckt, rtlsim.Options{Backend: rtlsim.Fused, Workers: workers})
-		},
-	}
-}
-
-// EngInterp is the reference interpreter spec.
-func EngInterp() Engine {
-	return Engine{
-		Name: "interp",
-		Make: func(inst Instance) (sim.Engine, error) { return interp.New(inst.Design) },
-	}
-}
+// selfDriving marks engines that embed the instance's testbench (the
+// native tier compiles it into the binary): the harness must not apply
+// inst.Bench on top, and may advance the engine in batches.
+func (e Engine) selfDriving() bool { return e.Kind == "native" }
 
 // Measurement is one timing result.
 type Measurement struct {
@@ -424,28 +340,28 @@ func Measure(bm Benchmark, eng Engine, cycles uint64) (Measurement, error) {
 	inst := bm.New()
 	e, err := eng.Make(inst)
 	if err != nil {
-		return Measurement{}, fmt.Errorf("bench %s / %s: %w", bm.Name, eng.Name, err)
+		return Measurement{}, fmt.Errorf("bench %s / %s: %w", bm.Name, eng, err)
 	}
 	defer closeEngine(e)
 	tb := inst.Bench
-	if tb == nil || eng.SelfDriving {
+	if tb == nil || eng.selfDriving() {
 		tb = sim.NopBench{}
 	}
 	warm := cycles / 10
-	if eng.SelfDriving {
+	if eng.selfDriving() {
 		advanceCycles(e, warm)
 	} else {
 		runCycles(e, tb, warm)
 	}
 	start := time.Now()
-	if eng.SelfDriving {
+	if eng.selfDriving() {
 		advanceCycles(e, cycles)
 	} else {
 		runCycles(e, tb, cycles)
 	}
 	elapsed := time.Since(start)
-	return Measurement{Benchmark: bm.Name, Engine: eng.Name, Cycles: cycles,
-		Elapsed: elapsed, Digest: StateDigest(e)}, nil
+	return Measurement{Benchmark: bm.Name, Engine: eng.String(), Cycles: cycles,
+		Elapsed: elapsed, Digest: sim.StateDigest(e)}, nil
 }
 
 // closeEngine releases engines that own resources (the parallel backends'
@@ -456,13 +372,6 @@ func closeEngine(e sim.Engine) {
 		c.Close()
 	}
 }
-
-// StateDigest hashes the engine's full architectural state (FNV-1a over
-// register widths and values), so cross-engine agreement can be asserted
-// from a single number at the end of a run. It is sim.StateDigest, kept
-// here for the existing call sites; the simulation daemon uses the sim
-// package's copy so snapshot digests and engine digests agree.
-func StateDigest(e sim.Engine) uint64 { return sim.StateDigest(e) }
 
 // runCycles drives the engine unconditionally for n cycles (benchmarks
 // never stop on testbench completion — a halted core keeps spinning).
@@ -490,7 +399,7 @@ func advanceCycles(e sim.Engine, n uint64) {
 // "Cycles" column on processor workloads.
 func HaltCycles(bm Benchmark, budget uint64) (uint64, bool) {
 	inst := bm.New()
-	e, err := cuttlesim.New(inst.Design, cuttlesim.DefaultOptions())
+	e, err := named("cuttlesim(static,closure)").Make(inst)
 	if err != nil {
 		return 0, false
 	}
@@ -516,10 +425,10 @@ func Verify(bm Benchmark, a, b Engine, cycles uint64) error {
 	}
 	defer closeEngine(eb)
 	tba, tbb := ia.Bench, ib.Bench
-	if tba == nil || a.SelfDriving {
+	if tba == nil || a.selfDriving() {
 		tba = sim.NopBench{}
 	}
-	if tbb == nil || b.SelfDriving {
+	if tbb == nil || b.selfDriving() {
 		tbb = sim.NopBench{}
 	}
 	for i := uint64(0); i < cycles; i++ {
@@ -534,7 +443,7 @@ func Verify(bm Benchmark, a, b Engine, cycles uint64) error {
 	for i := range sa {
 		if sa[i] != sb[i] {
 			return fmt.Errorf("bench %s: %s and %s disagree on register %s (%v vs %v)",
-				bm.Name, a.Name, b.Name, ia.Design.Registers[i].Name, sa[i], sb[i])
+				bm.Name, a, b, ia.Design.Registers[i].Name, sa[i], sb[i])
 		}
 	}
 	return nil

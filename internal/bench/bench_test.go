@@ -1,22 +1,22 @@
 package bench_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"cuttlego/internal/ast"
 	"cuttlego/internal/bench"
-	"cuttlego/internal/circuit"
 	"cuttlego/internal/cuttlesim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/interp"
-	"cuttlego/internal/rtlsim"
 	"cuttlego/internal/sim"
 )
 
 func TestSuiteBuildsAndRuns(t *testing.T) {
 	for _, bm := range bench.Suite() {
 		t.Run(bm.Name, func(t *testing.T) {
-			m, err := bench.Measure(bm, bench.EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure), 2000)
+			m, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")}, 2000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -28,9 +28,9 @@ func TestSuiteBuildsAndRuns(t *testing.T) {
 }
 
 func TestEnginesAgreeOnEveryBenchmark(t *testing.T) {
-	cuttle := bench.EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure)
-	rtl := bench.EngRTL(circuit.StyleKoika, rtlsim.Switch)
-	interp := bench.EngInterp()
+	cuttle := bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")}
+	rtl := bench.Engine{Spec: engine.MustParse("rtlsim(koika,switch)")}
+	interp := bench.Engine{Spec: engine.MustParse("interp")}
 	for _, bm := range bench.Suite() {
 		t.Run(bm.Name, func(t *testing.T) {
 			if err := bench.Verify(bm, cuttle, rtl, 300); err != nil {
@@ -108,11 +108,11 @@ func TestPaperShapeHolds(t *testing.T) {
 	}
 	bm := bench.Suite()[3] // rv32i
 	cycles := uint64(60_000)
-	mc, err := bench.Measure(bm, bench.EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure), cycles)
+	mc, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")}, cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := bench.Measure(bm, bench.EngRTL(circuit.StyleKoika, rtlsim.Closure), cycles)
+	mr, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("rtlsim(koika,closure)")}, cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,8 @@ func TestPaperShapeHolds(t *testing.T) {
 		}
 		return out
 	}
-	static := best(bench.EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure))
-	naive := best(bench.EngCuttlesim(cuttlesim.LNaive, cuttlesim.Closure))
+	static := best(bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")})
+	naive := best(bench.Engine{Spec: engine.MustParse("cuttlesim(naive,closure)")})
 	if static <= naive {
 		t.Errorf("LStatic (%.0f cyc/s) should beat LNaive (%.0f cyc/s)", static, naive)
 	}
@@ -180,7 +180,7 @@ func TestStressLadderPaysOff(t *testing.T) {
 	best := func(level cuttlesim.Level) float64 {
 		var out float64
 		for i := 0; i < 3; i++ {
-			m, err := bench.Measure(bm, bench.EngCuttlesim(level, cuttlesim.Closure), 20_000)
+			m, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse(fmt.Sprintf("cuttlesim(%v,closure)", level))}, 20_000)
 			if err != nil {
 				t.Fatal(err)
 			}

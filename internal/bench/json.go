@@ -7,10 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"cuttlego/internal/circuit"
-	"cuttlego/internal/cuttlesim"
-	"cuttlego/internal/rtlsim"
 )
 
 // JSONResult is one (design, engine) timing in the stable export schema.
@@ -46,21 +42,15 @@ type JSONReport struct {
 // width, so their ns/cycle rides the same trajectory (and the digest gate)
 // as the sequential engines.
 func jsonEngines(opts Options) []Engine {
-	engines := []Engine{
-		EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure),
-		EngCuttlesim(cuttlesim.LStatic, cuttlesim.Bytecode),
-		EngCuttlesim(cuttlesim.LActivity, cuttlesim.Closure),
-		EngCuttlesim(cuttlesim.LActivity, cuttlesim.Bytecode),
-		EngRTL(circuit.StyleKoika, rtlsim.Closure),
-		EngRTL(circuit.StyleKoika, rtlsim.Switch),
-		EngRTLOpt(circuit.StyleKoika, rtlsim.Fused, true),
-	}
+	names := []string{"cuttlesim(static,closure)", "cuttlesim(static,bytecode)",
+		"cuttlesim(activity,closure)", "cuttlesim(activity,bytecode)",
+		"rtlsim(koika,closure)", "rtlsim(koika,switch)", "rtlsim(koika,fused,opt)"}
 	if opts.Workers > 1 {
-		engines = append(engines,
-			EngCuttlesimPar(cuttlesim.Closure, opts.Workers),
-			EngRTLPar(true, opts.Workers))
+		names = append(names,
+			fmt.Sprintf("cuttlesim-par(closure,w%d)", opts.Workers),
+			fmt.Sprintf("rtlsim-par(koika,opt,w%d)", opts.Workers))
 	}
-	return engines
+	return engines(names...)
 }
 
 // WriteJSON measures every Table 1 benchmark against the tracked engine
@@ -109,7 +99,7 @@ func WriteJSONCtx(ctx context.Context, w io.Writer, opts Options, workers int) e
 	rep := JSONReport{Schema: "cuttlego-bench/v1", Window: opts.Cycles}
 	var firstErr error
 	for i, r := range results {
-		jr := JSONResult{Design: cells[i].bm.Name, Engine: cells[i].eng.Name}
+		jr := JSONResult{Design: cells[i].bm.Name, Engine: cells[i].eng.String()}
 		switch {
 		case !ranSet[i]:
 			jr.Error = "not run: cancelled"

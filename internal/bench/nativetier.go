@@ -21,7 +21,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"cuttlego/internal/cuttlesim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/native"
 )
 
@@ -80,9 +80,9 @@ func nativeCells(c *native.Cache) []struct {
 		eng    Engine
 		interp bool
 	}{
-		{EngNative(c), false},
-		{EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure), true},
-		{EngCuttlesim(cuttlesim.LStatic, cuttlesim.Bytecode), true},
+		{Engine{Spec: engine.MustParse("native"), Cache: c}, false},
+		{named("cuttlesim(static,closure)"), true},
+		{named("cuttlesim(static,bytecode)"), true},
 	}
 }
 
@@ -208,7 +208,7 @@ func MeasureNative(ctx context.Context, opts Options, cacheDir string) (NativeRe
 		rows := make([]NativeResult, 0, len(cells))
 		bestInterp := 0.0
 		for _, c := range cells {
-			r := NativeResult{Design: name, Engine: c.eng.Name}
+			r := NativeResult{Design: name, Engine: c.eng.String()}
 			if err := ctx.Err(); err != nil {
 				r.Error = "not run: cancelled"
 				rep.Incomplete = true

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cuttlego/internal/engine"
 	"cuttlego/internal/native"
 )
 
@@ -76,7 +77,7 @@ func TestNativeVerifiesAgainstInterp(t *testing.T) {
 	if !ok {
 		t.Fatal("rv32i not in catalogue")
 	}
-	if err := Verify(bm, EngNative(c), EngInterp(), 300); err != nil {
+	if err := Verify(bm, Engine{Spec: engine.MustParse("native"), Cache: c}, Engine{Spec: engine.MustParse("interp")}, 300); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }

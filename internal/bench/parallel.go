@@ -13,10 +13,8 @@ import (
 	"sync"
 
 	"cuttlego/internal/ast"
-	"cuttlego/internal/circuit"
-	"cuttlego/internal/cuttlesim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/interp"
-	"cuttlego/internal/rtlsim"
 	"cuttlego/internal/sim"
 	"cuttlego/internal/testkit"
 )
@@ -97,52 +95,12 @@ func RunParallelCtx[T any](ctx context.Context, n, workers int, job func(i int) 
 	return out, ran
 }
 
-// fuzzEngines builds the engine matrix one fuzz seed is checked across:
-// the reference interpreter plus every simulation pipeline configuration,
-// including all three rtlsim backends on both raw and netopt-optimized
-// netlists.
-func fuzzEngines() []Engine {
-	engines := []Engine{
-		EngCuttlesim(cuttlesim.LNaive, cuttlesim.Closure),
-		EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure),
-		EngCuttlesim(cuttlesim.LStatic, cuttlesim.Bytecode),
-		EngCuttlesim(cuttlesim.LActivity, cuttlesim.Closure),
-		EngCuttlesim(cuttlesim.LActivity, cuttlesim.Bytecode),
-	}
-	for _, backend := range []rtlsim.Backend{rtlsim.Switch, rtlsim.Closure, rtlsim.Fused} {
-		for _, opt := range []bool{false, true} {
-			engines = append(engines, EngRTLOpt(circuit.StyleKoika, backend, opt))
-		}
-	}
-	// The parallel engines, with MinGrain 1 so even the tiny random designs
-	// fan out onto their pools rather than degenerating to the sequential
-	// path.
-	engines = append(engines,
-		Engine{
-			Name: "cuttlesim-par(closure,w4,grain1)",
-			Make: func(inst Instance) (sim.Engine, error) {
-				return cuttlesim.New(inst.Design, cuttlesim.Options{
-					Level: cuttlesim.LStatic, Workers: 4, MinGrain: 1,
-				})
-			},
-		},
-		Engine{
-			Name: "rtlsim-par(koika,w4,grain1)",
-			Make: func(inst Instance) (sim.Engine, error) {
-				ckt, err := circuit.Compile(inst.Design, circuit.StyleKoika)
-				if err != nil {
-					return nil, err
-				}
-				return rtlsim.New(ckt, rtlsim.Options{Backend: rtlsim.Fused, Workers: 4, MinGrain: 1})
-			},
-		},
-	)
-	return engines
-}
-
-// FuzzOne runs one randomized design (testkit.Random seed) across the full
-// engine matrix for n cycles in lockstep, returning the first divergence
-// from the reference interpreter (or nil).
+// FuzzOne runs one randomized design (testkit.Random seed) across the
+// in-process engine matrix (engine.InProcess, the one kdiff checks) for n
+// cycles in lockstep, returning the first divergence from the reference
+// interpreter (or nil). Pooled engines build with MinGrain 1 so even the
+// tiny random designs fan out onto their pools rather than degenerating to
+// the sequential path.
 func FuzzOne(seed int64, cycles uint64) error {
 	build := func() *ast.Design { return testkit.Random(seed).MustCheck() }
 	ref, err := interp.New(build())
@@ -159,12 +117,12 @@ func FuzzOne(seed int64, cycles uint64) error {
 			closeEngine(p.eng)
 		}
 	}()
-	for _, spec := range fuzzEngines() {
-		e, err := spec.Make(Instance{Design: build()})
+	for _, spec := range engine.InProcess() {
+		e, err := spec.Build(build(), nil, nil, engine.Instrument{MinGrain: 1})
 		if err != nil {
-			return fmt.Errorf("seed %d: %s: %w", seed, spec.Name, err)
+			return fmt.Errorf("seed %d: %s: %w", seed, spec, err)
 		}
-		others = append(others, pair{spec.Name, e})
+		others = append(others, pair{spec.String(), e})
 	}
 	d := ref.Design()
 	for c := uint64(0); c < cycles; c++ {
@@ -202,7 +160,7 @@ func Fuzz(w io.Writer, base int64, count int, cycles uint64, workers int) error 
 // is returned so the run still ends with a truthful verdict.
 func FuzzCtx(ctx context.Context, w io.Writer, base int64, count int, cycles uint64, workers int) error {
 	fmt.Fprintf(w, "Scheduler fuzz: %d random designs x %d engines, %d cycles each\n\n",
-		count, len(fuzzEngines())+1, cycles)
+		count, len(engine.InProcess())+1, cycles)
 	errs, ran := RunParallelCtx(ctx, count, workers, func(i int) error {
 		return FuzzOne(base+int64(i), cycles)
 	})

@@ -8,7 +8,6 @@ import (
 	"cuttlego/internal/circuit"
 	"cuttlego/internal/cppgen"
 	"cuttlego/internal/cuttlesim"
-	"cuttlego/internal/rtlsim"
 	"cuttlego/internal/verilog"
 )
 
@@ -104,9 +103,8 @@ func Fig1(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "window: %d cycles per engine\n\n", opts.Cycles)
 	fmt.Fprintf(w, "%-10s %18s %18s %18s %9s %9s\n",
 		"design", "cuttlesim (cyc/s)", "rtl-koika (cyc/s)", "rtl-opt (cyc/s)", "vs naive", "vs opt")
-	cuttle := EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure)
-	rtl := EngRTL(circuit.StyleKoika, rtlsim.Closure)
-	opt := EngRTLOpt(circuit.StyleKoika, rtlsim.Fused, true)
+	grid := engines("cuttlesim(static,closure)", "rtlsim(koika,closure)", "rtlsim(koika,fused,opt)")
+	cuttle, rtl, opt := grid[0], grid[1], grid[2]
 	for _, bm := range Suite() {
 		if err := Verify(bm, cuttle, rtl, 500); err != nil {
 			return err
@@ -141,8 +139,8 @@ func Fig2(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "Figure 2: circuit-level simulation of equivalent dynamic (koika) and static (bluespec) RTL\n")
 	fmt.Fprintf(w, "window: %d cycles per engine\n\n", opts.Cycles)
 	fmt.Fprintf(w, "%-10s %18s %18s %9s\n", "design", "rtl-koika (cyc/s)", "rtl-bsc (cyc/s)", "ratio")
-	koika := EngRTL(circuit.StyleKoika, rtlsim.Closure)
-	bsc := EngRTL(circuit.StyleBluespec, rtlsim.Closure)
+	pair := engines("rtlsim(koika,closure)", "rtlsim(bluespec,closure)")
+	koika, bsc := pair[0], pair[1]
 	for _, bm := range Suite() {
 		free, err := circuit.StaticallyConflictFree(bm.New().Design)
 		if err != nil {
@@ -175,21 +173,16 @@ func Fig2(w io.Writer, opts Options) error {
 func Fig3(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "Figure 3: engine sensitivity (substitute for the paper's GCC/Clang sweep)\n")
 	fmt.Fprintf(w, "window: %d cycles per engine\n\n", opts.Cycles)
-	engines := []Engine{
-		EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure),
-		EngCuttlesim(cuttlesim.LStatic, cuttlesim.Bytecode),
-		EngRTL(circuit.StyleKoika, rtlsim.Closure),
-		EngRTL(circuit.StyleKoika, rtlsim.Switch),
-		EngRTLOpt(circuit.StyleKoika, rtlsim.Fused, true),
-	}
+	grid := engines("cuttlesim(static,closure)", "cuttlesim(static,bytecode)",
+		"rtlsim(koika,closure)", "rtlsim(koika,switch)", "rtlsim(koika,fused,opt)")
 	fmt.Fprintf(w, "%-10s", "design")
-	for _, e := range engines {
-		fmt.Fprintf(w, " %28s", e.Name)
+	for _, e := range grid {
+		fmt.Fprintf(w, " %28s", e)
 	}
 	fmt.Fprintln(w)
 	for _, bm := range Suite() {
 		fmt.Fprintf(w, "%-10s", bm.Name)
-		for _, e := range engines {
+		for _, e := range grid {
 			m, err := Measure(bm, e, opts.Cycles)
 			if err != nil {
 				return err
@@ -208,16 +201,21 @@ func Ablation(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "window: %d cycles per level\n\n", opts.Cycles)
 	fmt.Fprintf(w, "%-16s %18s %10s\n", "level", "cyc/s", "vs naive")
 	bm := Suite()[3] // rv32i
+	return ladder(w, bm, opts)
+}
+
+// ladder times bm at every optimization level on the closure backend.
+func ladder(w io.Writer, bm Benchmark, opts Options) error {
 	var naive float64
 	for _, level := range cuttlesim.Levels() {
-		m, err := Measure(bm, EngCuttlesim(level, cuttlesim.Closure), opts.Cycles)
+		m, err := Measure(bm, named(fmt.Sprintf("cuttlesim(%v,closure)", level)), opts.Cycles)
 		if err != nil {
 			return err
 		}
 		if naive == 0 {
 			naive = m.CPS()
 		}
-		fmt.Fprintf(w, "%-16s %18.0f %9.2fx\n", level.String(), m.CPS(), m.CPS()/naive)
+		fmt.Fprintf(w, "%-16s %18.0f %9.2fx\n", level, m.CPS(), m.CPS()/naive)
 	}
 	return nil
 }
@@ -235,18 +233,7 @@ func AblationStress(w io.Writer, opts Options) error {
 			return Instance{Design: StateStress(512, 4).MustCheck()}
 		},
 	}
-	var naive float64
-	for _, level := range cuttlesim.Levels() {
-		m, err := Measure(bm, EngCuttlesim(level, cuttlesim.Closure), opts.Cycles)
-		if err != nil {
-			return err
-		}
-		if naive == 0 {
-			naive = m.CPS()
-		}
-		fmt.Fprintf(w, "%-16s %18.0f %9.2fx\n", level.String(), m.CPS(), m.CPS()/naive)
-	}
-	return nil
+	return ladder(w, bm, opts)
 }
 
 // Conformance runs the cross-pipeline equivalence matrix: every catalogued
@@ -256,21 +243,14 @@ func AblationStress(w io.Writer, opts Options) error {
 // the worker pool; the rendered table is byte-identical for any worker
 // count.
 func Conformance(w io.Writer, cycles uint64, workers int) error {
-	engines := []Engine{
-		EngCuttlesim(cuttlesim.LNaive, cuttlesim.Closure),
-		EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure),
-		EngCuttlesim(cuttlesim.LStatic, cuttlesim.Bytecode),
-		EngCuttlesim(cuttlesim.LActivity, cuttlesim.Closure),
-		EngCuttlesim(cuttlesim.LActivity, cuttlesim.Bytecode),
-		EngRTL(circuit.StyleKoika, rtlsim.Closure),
-		EngRTLOpt(circuit.StyleKoika, rtlsim.Fused, true),
-		EngRTL(circuit.StyleBluespec, rtlsim.Closure),
-	}
-	ref := EngInterp()
+	grid := engines("cuttlesim(naive,closure)", "cuttlesim(static,closure)", "cuttlesim(static,bytecode)",
+		"cuttlesim(activity,closure)", "cuttlesim(activity,bytecode)",
+		"rtlsim(koika,closure)", "rtlsim(koika,fused,opt)", "rtlsim(bluespec,closure)")
+	ref := named("interp")
 	fmt.Fprintf(w, "Conformance: each engine vs the reference interpreter (%d cycles)\n\n", cycles)
 	fmt.Fprintf(w, "%-10s", "design")
-	for _, e := range engines {
-		fmt.Fprintf(w, " %28s", e.Name)
+	for _, e := range grid {
+		fmt.Fprintf(w, " %28s", e)
 	}
 	fmt.Fprintln(w)
 	suite := append(Suite(), Extras()...)
@@ -279,15 +259,15 @@ func Conformance(w io.Writer, cycles uint64, workers int) error {
 		eng Engine
 	}
 	var cells []cell
-	skip := make([]bool, 0, len(suite)*len(engines))
+	skip := make([]bool, 0, len(suite)*len(grid))
 	for _, bm := range suite {
 		free, err := circuit.StaticallyConflictFree(bm.New().Design)
 		if err != nil {
 			return err
 		}
-		for _, e := range engines {
+		for _, e := range grid {
 			cells = append(cells, cell{bm, e})
-			skip = append(skip, e.Name == "rtlsim(bluespec,closure)" && !free)
+			skip = append(skip, e.Style == "bluespec" && !free)
 		}
 	}
 	verdicts := RunParallel(len(cells), workers, func(i int) string {
@@ -301,8 +281,8 @@ func Conformance(w io.Writer, cycles uint64, workers int) error {
 	})
 	for bi, bm := range suite {
 		fmt.Fprintf(w, "%-10s", bm.Name)
-		for ei := range engines {
-			fmt.Fprintf(w, " %28s", verdicts[bi*len(engines)+ei])
+		for ei := range grid {
+			fmt.Fprintf(w, " %28s", verdicts[bi*len(grid)+ei])
 		}
 		fmt.Fprintln(w)
 	}

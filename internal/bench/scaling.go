@@ -19,10 +19,6 @@ import (
 	"io"
 	"runtime"
 	"text/tabwriter"
-
-	"cuttlego/internal/circuit"
-	"cuttlego/internal/cuttlesim"
-	"cuttlego/internal/rtlsim"
 )
 
 // ScalingWorkerWidths is the pool-width sweep each parallel engine runs.
@@ -68,16 +64,14 @@ type scalingCell struct {
 }
 
 func scalingCells() []scalingCell {
-	cells := []scalingCell{
-		{EngCuttlesim(cuttlesim.LStatic, cuttlesim.Closure), 1, true},
-		{EngCuttlesim(cuttlesim.LStatic, cuttlesim.Bytecode), 1, true},
-		{EngRTLOpt(circuit.StyleKoika, rtlsim.Fused, true), 1, true},
+	var cells []scalingCell
+	for _, e := range engines("cuttlesim(static,closure)", "cuttlesim(static,bytecode)", "rtlsim(koika,fused,opt)") {
+		cells = append(cells, scalingCell{e, 1, true})
 	}
-	for _, w := range ScalingWorkerWidths {
-		cells = append(cells, scalingCell{EngCuttlesimPar(cuttlesim.Closure, w), w, false})
-	}
-	for _, w := range ScalingWorkerWidths {
-		cells = append(cells, scalingCell{EngRTLPar(true, w), w, false})
+	for _, pattern := range []string{"cuttlesim-par(closure,w%d)", "rtlsim-par(koika,opt,w%d)"} {
+		for _, w := range ScalingWorkerWidths {
+			cells = append(cells, scalingCell{named(fmt.Sprintf(pattern, w)), w, false})
+		}
 	}
 	return cells
 }
@@ -177,7 +171,7 @@ func MeasureScaling(ctx context.Context, opts Options) (ScalingReport, error) {
 		rows := make([]ScalingResult, 0, len(cells))
 		bestSeq := 0.0
 		for _, c := range cells {
-			r := ScalingResult{Design: name, Engine: c.eng.Name, Workers: c.workers}
+			r := ScalingResult{Design: name, Engine: c.eng.String(), Workers: c.workers}
 			if err := ctx.Err(); err != nil {
 				r.Error = "not run: cancelled"
 				rep.Incomplete = true

@@ -2,6 +2,7 @@ package cuttlesim_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -283,5 +284,25 @@ func TestAnalysisExposed(t *testing.T) {
 	}
 	if s.Options().Level != cuttlesim.LStatic {
 		t.Error("options not recorded")
+	}
+}
+
+// TestNewRejectsUnknownEnums: an out-of-range level or backend is a
+// construction error naming the bad value, not a panic on the first cycle
+// or a silent fallback to another configuration.
+func TestNewRejectsUnknownEnums(t *testing.T) {
+	for _, tc := range []struct {
+		opts cuttlesim.Options
+		want string
+	}{
+		{cuttlesim.Options{Level: -1}, "level(-1)"},
+		{cuttlesim.Options{Level: 9}, "level(9)"},
+		{cuttlesim.Options{Backend: 5}, "backend(5)"},
+	} {
+		d := testkit.Zoo()[0].Build().MustCheck()
+		_, err := cuttlesim.New(d, tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(%+v) = %v, want an error naming %s", tc.opts, err, tc.want)
+		}
 	}
 }

@@ -95,10 +95,13 @@ const (
 )
 
 func (b Backend) String() string {
-	if b == Bytecode {
+	switch b {
+	case Closure:
+		return "closure"
+	case Bytecode:
 		return "bytecode"
 	}
-	return "closure"
+	return fmt.Sprintf("backend(%d)", int(b))
 }
 
 // Hook receives fine-grained execution events; the debugger installs one to

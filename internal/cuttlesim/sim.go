@@ -40,6 +40,12 @@ func New(d *ast.Design, opts Options) (_ *Simulator, err error) {
 			return nil, fmt.Errorf("cuttlesim: register %q wider than %d bits", r.Name, bits.MaxWidth)
 		}
 	}
+	if opts.Level < LNaive || opts.Level > LActivity {
+		return nil, fmt.Errorf("cuttlesim: unknown optimization level %v", opts.Level)
+	}
+	if opts.Backend != Closure && opts.Backend != Bytecode {
+		return nil, fmt.Errorf("cuttlesim: unknown backend %v", opts.Backend)
+	}
 	an, err := analysis.Analyze(d)
 	if err != nil {
 		return nil, err
@@ -83,8 +89,6 @@ func New(d *ast.Design, opts Options) (_ *Simulator, err error) {
 		}
 		s.m.locals = make([]uint64, asm.maxSlots)
 		s.m.stack = make([]uint64, asm.maxStack+1)
-	default:
-		return nil, fmt.Errorf("cuttlesim: unknown backend %v", opts.Backend)
 	}
 	if opts.Workers > 1 {
 		s.par = newParEngine(s, opts.Workers, opts.MinGrain)

@@ -19,6 +19,7 @@ import (
 	"cuttlego/internal/ast"
 	"cuttlego/internal/bits"
 	"cuttlego/internal/cuttlesim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/sim"
 )
 
@@ -88,10 +89,11 @@ type Debugger struct {
 // New builds a debugger for a checked design. The testbench may be nil.
 func New(d *ast.Design, tb sim.Testbench) (*Debugger, error) {
 	dbg := &Debugger{d: d, tb: tb, watch: map[int]uint64{}, traceCap: 64, snapEvery: 64}
-	s, err := cuttlesim.New(d, cuttlesim.Options{Level: cuttlesim.LStatic, Hook: (*hook)(dbg)})
+	e, err := engine.MustParse("cuttlesim(static,closure)").Build(d, nil, nil, engine.Instrument{Hook: (*hook)(dbg)})
 	if err != nil {
 		return nil, err
 	}
+	s := e.(*cuttlesim.Simulator)
 	dbg.sim = s
 	if tb == nil {
 		dbg.tb = sim.NopBench{}

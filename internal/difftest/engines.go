@@ -10,12 +10,9 @@ import (
 	"sync"
 
 	"cuttlego/internal/ast"
-	"cuttlego/internal/circuit"
-	"cuttlego/internal/cuttlesim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/gomodel"
 	"cuttlego/internal/native"
-	"cuttlego/internal/netopt"
-	"cuttlego/internal/rtlsim"
 	"cuttlego/internal/sim"
 )
 
@@ -37,91 +34,20 @@ type Spec struct {
 	Final func(d *ast.Design, cycles uint64) (map[string]uint64, error)
 }
 
-// CuttlesimSpecs returns every optimization level with the closure backend
-// plus the bytecode backend at the static and activity levels — the same
-// shape the kbench engine grid uses, with profiling on so the profile
-// oracle has data.
-func CuttlesimSpecs() []Spec {
-	var specs []Spec
-	add := func(level cuttlesim.Level, backend cuttlesim.Backend) {
-		opts := cuttlesim.Options{Level: level, Backend: backend, Profile: true}
-		specs = append(specs, Spec{
-			Name: fmt.Sprintf("cuttlesim(%v,%v)", level, backend),
-			Make: func(d *ast.Design) (sim.Engine, error) { return cuttlesim.New(d, opts) },
-		})
+// registrySpec wraps a registry engine for the lockstep matrix: profiling
+// on, so the profile oracle has data, and MinGrain 1, so even the small
+// differential designs fan out onto pooled engines' workers instead of
+// degenerating to the sequential path.
+func registrySpec(e engine.Spec) Spec {
+	if e.Kind == "native" {
+		return NativeSpec()
 	}
-	for _, level := range cuttlesim.Levels() {
-		add(level, cuttlesim.Closure)
+	return Spec{
+		Name: e.String(),
+		Make: func(d *ast.Design) (sim.Engine, error) {
+			return e.Build(d, nil, nil, engine.Instrument{Profile: true, MinGrain: 1})
+		},
 	}
-	add(cuttlesim.LStatic, cuttlesim.Bytecode)
-	add(cuttlesim.LActivity, cuttlesim.Bytecode)
-	return specs
-}
-
-// RTLSpecs returns the circuit-level engines: all three rtlsim backends on
-// both the raw and the netopt-optimized netlist.
-func RTLSpecs() []Spec {
-	var specs []Spec
-	for _, backend := range []rtlsim.Backend{rtlsim.Switch, rtlsim.Closure, rtlsim.Fused} {
-		for _, opt := range []bool{false, true} {
-			backend, opt := backend, opt
-			name := fmt.Sprintf("rtlsim(%v,%v)", circuit.StyleKoika, backend)
-			if opt {
-				name = fmt.Sprintf("rtlsim(%v,%v,opt)", circuit.StyleKoika, backend)
-			}
-			specs = append(specs, Spec{
-				Name: name,
-				Make: func(d *ast.Design) (sim.Engine, error) {
-					ckt, err := circuit.Compile(d, circuit.StyleKoika)
-					if err != nil {
-						return nil, err
-					}
-					if opt {
-						ckt = netopt.MustOptimize(ckt)
-					}
-					return rtlsim.New(ckt, rtlsim.Options{Backend: backend})
-				},
-			})
-		}
-	}
-	return specs
-}
-
-// ParallelSpecs returns the pooled engines: conflict-free Cuttlesim rule
-// groups (both backends) and BSP-sharded rtlsim, at widths 2 and 4 with
-// MinGrain 1 so even the small differential designs fan out onto their
-// pools instead of degenerating to the sequential path.
-func ParallelSpecs() []Spec {
-	var specs []Spec
-	for _, cfg := range []struct {
-		backend cuttlesim.Backend
-		workers int
-	}{{cuttlesim.Closure, 2}, {cuttlesim.Closure, 4}, {cuttlesim.Bytecode, 2}} {
-		cfg := cfg
-		specs = append(specs, Spec{
-			Name: fmt.Sprintf("cuttlesim-par(%v,w%d)", cfg.backend, cfg.workers),
-			Make: func(d *ast.Design) (sim.Engine, error) {
-				return cuttlesim.New(d, cuttlesim.Options{
-					Level: cuttlesim.LStatic, Backend: cfg.backend, Profile: true,
-					Workers: cfg.workers, MinGrain: 1,
-				})
-			},
-		})
-	}
-	for _, w := range []int{2, 4} {
-		w := w
-		specs = append(specs, Spec{
-			Name: fmt.Sprintf("rtlsim-par(%v,w%d)", circuit.StyleKoika, w),
-			Make: func(d *ast.Design) (sim.Engine, error) {
-				ckt, err := circuit.Compile(d, circuit.StyleKoika)
-				if err != nil {
-					return nil, err
-				}
-				return rtlsim.New(ckt, rtlsim.Options{Backend: rtlsim.Fused, Workers: w, MinGrain: 1})
-			},
-		})
-	}
-	return specs
 }
 
 // GomodelSpec returns the compiled-model engine: the design is emitted as a
@@ -214,46 +140,45 @@ func NativeSpec() Spec {
 			if err != nil {
 				return nil, err
 			}
-			return c.Engine(d, nil)
+			return engine.MustParse("native").Build(d, nil, c, engine.Instrument{})
 		},
 	}
 }
 
-// Matrix resolves a comma-separated engine list ("cuttlesim", "rtlsim",
-// "parallel", "gomodel", "native", or "all") to specs. The reference
-// interpreter is always part of a run and never needs listing.
+// Matrix resolves a comma-separated engine list to specs: the registry
+// groups cuttlesim, rtlsim and parallel (engine.Group), native, gomodel,
+// or all of them. The reference interpreter is always part of a run and
+// never needs listing.
 func Matrix(names string) ([]Spec, error) {
 	var specs []Spec
 	for _, name := range strings.Split(names, ",") {
-		switch strings.TrimSpace(name) {
+		switch name = strings.TrimSpace(name); name {
 		case "", "interp":
 			// The interpreter is the reference; nothing to add.
-		case "cuttlesim":
-			specs = append(specs, CuttlesimSpecs()...)
-		case "rtlsim":
-			specs = append(specs, RTLSpecs()...)
-		case "parallel":
-			specs = append(specs, ParallelSpecs()...)
 		case "gomodel":
 			specs = append(specs, GomodelSpec())
-		case "native":
-			specs = append(specs, NativeSpec())
-		case "all":
-			specs = append(specs, CuttlesimSpecs()...)
-			specs = append(specs, RTLSpecs()...)
-			specs = append(specs, ParallelSpecs()...)
-			specs = append(specs, GomodelSpec())
-			specs = append(specs, NativeSpec())
 		default:
-			return nil, fmt.Errorf("unknown engine %q (want interp, cuttlesim, rtlsim, parallel, gomodel, native, or all)", name)
+			group, err := engine.Group(name)
+			if err != nil {
+				return nil, fmt.Errorf("%w\n  or gomodel", err)
+			}
+			for _, e := range group {
+				specs = append(specs, registrySpec(e))
+			}
+			if name == "all" {
+				specs = append(specs, GomodelSpec())
+			}
 		}
 	}
 	return specs, nil
 }
 
-// InProcess is the default matrix for tests: everything that runs without
-// shelling out to the Go toolchain.
+// InProcess is the default matrix for tests: every engine that runs
+// without shelling out to the Go toolchain (engine.InProcess).
 func InProcess() []Spec {
-	specs := append(CuttlesimSpecs(), RTLSpecs()...)
-	return append(specs, ParallelSpecs()...)
+	var specs []Spec
+	for _, e := range engine.InProcess() {
+		specs = append(specs, registrySpec(e))
+	}
+	return specs
 }

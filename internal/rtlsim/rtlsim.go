@@ -43,12 +43,14 @@ const (
 
 func (b Backend) String() string {
 	switch b {
+	case Switch:
+		return "switch"
 	case Closure:
 		return "closure"
 	case Fused:
 		return "fused"
 	}
-	return "switch"
+	return fmt.Sprintf("backend(%d)", int(b))
 }
 
 // Options configures New.
@@ -101,6 +103,9 @@ var _ sim.Snapshotter = (*Simulator)(nil)
 // New builds a simulator for a compiled circuit.
 func New(ckt *circuit.Circuit, opts Options) (_ *Simulator, err error) {
 	defer diag.Guard("rtlsim: build simulator", &err)
+	if opts.Backend < Switch || opts.Backend > Fused {
+		return nil, fmt.Errorf("rtlsim: unknown backend %v", opts.Backend)
+	}
 	d := ckt.Design
 	s := &Simulator{
 		ckt:     ckt,

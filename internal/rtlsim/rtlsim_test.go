@@ -2,6 +2,7 @@ package rtlsim_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cuttlego/internal/ast"
@@ -240,5 +241,20 @@ func TestHashConsing(t *testing.T) {
 func TestCompileRequiresChecked(t *testing.T) {
 	if _, err := circuit.Compile(ast.NewDesign("d"), circuit.StyleKoika); err == nil {
 		t.Fatal("accepted unchecked design")
+	}
+}
+
+// TestNewRejectsUnknownBackend: an out-of-range backend is a construction
+// error naming the bad value, not a silent run on the switch backend.
+func TestNewRejectsUnknownBackend(t *testing.T) {
+	ckt, err := circuit.Compile(testkit.Zoo()[0].Build().MustCheck(), circuit.StyleKoika)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []rtlsim.Options{{Backend: 7}, {Backend: -1}, {Backend: 7, Workers: 4}} {
+		_, err := rtlsim.New(ckt, opts)
+		if want := fmt.Sprintf("backend(%d)", int(opts.Backend)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("New(%+v) = %v, want an error naming %s", opts, err, want)
+		}
 	}
 }

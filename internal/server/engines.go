@@ -4,12 +4,8 @@ import (
 	"fmt"
 
 	"cuttlego/internal/bench"
-	"cuttlego/internal/circuit"
-	"cuttlego/internal/cuttlesim"
-	"cuttlego/internal/interp"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/native"
-	"cuttlego/internal/netopt"
-	"cuttlego/internal/rtlsim"
 	"cuttlego/internal/sim"
 )
 
@@ -25,137 +21,43 @@ type EngineConfig struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-func (c EngineConfig) String() string {
-	w := ""
-	if c.Workers > 1 {
-		w = fmt.Sprintf(",w%d", c.Workers)
-	}
-	switch c.Engine {
-	case "interp":
-		return "interp"
-	case "native":
-		return "native"
-	case "rtlsim":
-		if c.Optimize {
-			return fmt.Sprintf("rtlsim(%s,opt%s)", c.Backend, w)
+// spec maps the wire fields onto the engine registry. Empty fields take
+// ksimd's defaults (cuttlesim at the static level on closures; rtlsim on
+// the fused backend over the Kôika netlist), a pool width of 1 is the
+// sequential engine, and Optimize only means something to rtlsim.
+func (c EngineConfig) spec() (engine.Spec, error) {
+	or := func(v, def string) string {
+		if v == "" {
+			return def
 		}
-		return fmt.Sprintf("rtlsim(%s%s)", c.Backend, w)
-	default:
-		return fmt.Sprintf("cuttlesim(%s,%s%s)", c.Level, c.Backend, w)
+		return v
 	}
-}
-
-// normalize fills defaults and rejects unknown names, so every stored
-// config is replayable.
-func (c EngineConfig) normalize() (EngineConfig, error) {
-	if c.Workers < 0 {
-		return c, fmt.Errorf("workers must be >= 0, got %d", c.Workers)
-	}
+	s := engine.Spec{Kind: c.Engine, Level: c.Level, Backend: c.Backend, Workers: c.Workers}
 	switch c.Engine {
 	case "", "cuttlesim":
-		c.Engine = "cuttlesim"
-		if c.Level == "" {
-			c.Level = cuttlesim.LStatic.String()
-		}
-		level, err := cuttlesimLevel(c.Level)
-		if err != nil {
-			return c, err
-		}
-		if c.Workers > 1 && level < cuttlesim.LStatic {
-			return c, fmt.Errorf("cuttlesim workers > 1 requires level %q or above, got %q",
-				cuttlesim.LStatic, c.Level)
-		}
-		switch c.Backend {
-		case "":
-			c.Backend = "closure"
-		case "closure", "bytecode":
-		default:
-			return c, fmt.Errorf("unknown cuttlesim backend %q (want closure or bytecode)", c.Backend)
-		}
-	case "interp":
-		if c.Level != "" || c.Backend != "" {
-			return c, fmt.Errorf("interp has no levels or backends")
-		}
-		if c.Workers > 1 {
-			return c, fmt.Errorf("interp has no parallel engine")
-		}
-	case "native":
-		if c.Level != "" || c.Backend != "" {
-			return c, fmt.Errorf("the native tier has no levels or backends (the go compiler decides)")
-		}
-		if c.Workers > 1 {
-			return c, fmt.Errorf("the native tier has no worker pools (one subprocess per session)")
-		}
+		s.Kind, s.Level, s.Backend = "cuttlesim", or(c.Level, "static"), or(c.Backend, "closure")
 	case "rtlsim":
-		if c.Level != "" {
-			return c, fmt.Errorf("rtlsim has no optimization levels")
-		}
-		switch c.Backend {
-		case "":
-			c.Backend = "fused"
-		case "switch", "closure", "fused":
-		default:
-			return c, fmt.Errorf("unknown rtlsim backend %q (want switch, closure, or fused)", c.Backend)
-		}
-		if c.Workers > 1 && c.Backend != "fused" {
-			return c, fmt.Errorf("rtlsim workers > 1 requires the fused backend (BSP shards reuse its decoded form), got %q", c.Backend)
-		}
-	default:
-		return c, fmt.Errorf("unknown engine %q (want cuttlesim, interp, rtlsim, or native)", c.Engine)
+		s.Style, s.Backend, s.Optimize = "koika", or(c.Backend, "fused"), c.Optimize
 	}
-	return c, nil
+	if s.Workers == 1 {
+		s.Workers = 0
+	}
+	return s, s.Validate()
 }
 
-func cuttlesimLevel(name string) (cuttlesim.Level, error) {
-	for _, l := range cuttlesim.Levels() {
-		if l.String() == name {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown cuttlesim level %q", name)
+// configOf is spec's inverse: the normalized fields a session persists.
+func configOf(s engine.Spec) EngineConfig {
+	return EngineConfig{Engine: s.Kind, Level: s.Level, Backend: s.Backend, Optimize: s.Optimize, Workers: s.Workers}
 }
 
-// build instantiates the configured engine over a fresh design instance.
-// Cuttlesim engines are always built with profiling on: the daemon's
-// rule-profile endpoint is part of the remote debugging surface and the
-// counters cost almost nothing. ncache is the daemon's AOT compile cache;
-// only the "native" engine needs it.
-func (c EngineConfig) build(inst bench.Instance, ncache *native.Cache) (sim.Engine, error) {
-	switch c.Engine {
-	case "interp":
-		return interp.New(inst.Design)
-	case "native":
-		if ncache == nil {
-			return nil, fmt.Errorf("the native tier is disabled on this daemon (start it with -native-cache)")
-		}
-		return ncache.Engine(inst.Design, inst.Native)
-	case "rtlsim":
-		ckt, err := circuit.Compile(inst.Design, circuit.StyleKoika)
-		if err != nil {
-			return nil, err
-		}
-		if c.Optimize {
-			ckt = netopt.MustOptimize(ckt)
-		}
-		var backend rtlsim.Backend
-		switch c.Backend {
-		case "switch":
-			backend = rtlsim.Switch
-		case "closure":
-			backend = rtlsim.Closure
-		default:
-			backend = rtlsim.Fused
-		}
-		return rtlsim.New(ckt, rtlsim.Options{Backend: backend, Workers: c.Workers})
-	default:
-		level, err := cuttlesimLevel(c.Level)
-		if err != nil {
-			return nil, err
-		}
-		backend := cuttlesim.Closure
-		if c.Backend == "bytecode" {
-			backend = cuttlesim.Bytecode
-		}
-		return cuttlesim.New(inst.Design, cuttlesim.Options{Level: level, Backend: backend, Profile: true, Workers: c.Workers})
+// build instantiates the engine over a fresh design instance. Cuttlesim
+// engines are always built with profiling on: the daemon's rule-profile
+// endpoint is part of the remote debugging surface and the counters cost
+// almost nothing. ncache is the daemon's AOT compile cache; only the
+// "native" engine needs it.
+func build(s engine.Spec, inst bench.Instance, ncache *native.Cache) (sim.Engine, error) {
+	if s.Kind == "native" && ncache == nil {
+		return nil, fmt.Errorf("the native tier is disabled on this daemon (start it with -native-cache)")
 	}
+	return s.Build(inst.Design, inst.Native, ncache, engine.Instrument{Profile: true})
 }

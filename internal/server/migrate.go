@@ -64,7 +64,7 @@ func (s *Server) export(sess *session, release bool) (_ ExportResponse, err erro
 		return ExportResponse{}, httpError{http.StatusInternalServerError, err}
 	}
 	resp := ExportResponse{
-		ID: sess.id, Source: sess.src, Catalog: sess.catalog, Config: sess.cfg,
+		ID: sess.id, Source: sess.src, Catalog: sess.catalog, Config: configOf(sess.spec),
 		Cycle:    snap.Cycle,
 		Digest:   fmt.Sprintf("%016x", snap.Digest()),
 		Snapshot: data,

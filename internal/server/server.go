@@ -304,7 +304,7 @@ func (s *Server) checkpointLocked(sess *session) (_ CheckpointResponse, err erro
 		}
 	}
 	if err := s.store.SaveMeta(SessionMeta{
-		ID: sess.id, Source: sess.src, Catalog: sess.catalog, Config: sess.cfg, Created: time.Now(),
+		ID: sess.id, Source: sess.src, Catalog: sess.catalog, Config: configOf(sess.spec), Created: time.Now(),
 		Trace: sess.rec != nil,
 	}); err != nil {
 		return CheckpointResponse{}, httpError{http.StatusInternalServerError, fmt.Errorf("checkpoint: %w", err)}

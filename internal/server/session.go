@@ -15,6 +15,7 @@ import (
 	"cuttlego/internal/cuttlesim"
 	"cuttlego/internal/debug"
 	"cuttlego/internal/diag"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/faultinj"
 	"cuttlego/internal/lang"
 	"cuttlego/internal/native"
@@ -85,9 +86,9 @@ type nativeBuild struct {
 // the HTTP layer may serve many requests for the same session concurrently,
 // but the engine is strictly single-threaded.
 type session struct {
-	id  string
-	cfg EngineConfig
-	env sessionEnv
+	id   string
+	spec engine.Spec
+	env  sessionEnv
 	// exactly one of src/catalog is non-empty; it is what meta.json stores
 	// and what resurrection replays.
 	src     string
@@ -215,10 +216,10 @@ func newSession(id string, req CreateRequest, env sessionEnv) (_ *session, err e
 	if (req.Source == "") == (req.Catalog == "") {
 		return nil, fmt.Errorf("exactly one of source and catalog must be set")
 	}
-	cfg, err := EngineConfig{
+	spec, err := EngineConfig{
 		Engine: req.Engine, Level: req.Level, Backend: req.Backend, Optimize: req.Optimize,
 		Workers: req.Workers,
-	}.normalize()
+	}.spec()
 	if err != nil {
 		return nil, err
 	}
@@ -226,18 +227,18 @@ func newSession(id string, req CreateRequest, env sessionEnv) (_ *session, err e
 	if err != nil {
 		return nil, err
 	}
-	eng, err := cfg.build(inst, env.ncache)
+	eng, err := build(spec, inst, env.ncache)
 	if err != nil {
 		return nil, err
 	}
 	eng = wrapEngine(eng, env.inj)
 	d := eng.Design()
 	s := &session{
-		id: id, cfg: cfg, env: env, src: req.Source, catalog: req.Catalog, eng: eng,
+		id: id, spec: spec, env: env, src: req.Source, catalog: req.Catalog, eng: eng,
 		external:   inst.Bench != nil,
 		designName: d.Name, nRegs: len(d.Registers), nRules: len(d.Rules), d: d,
 	}
-	if cfg.Engine == "native" {
+	if spec.Kind == "native" {
 		// The native binary self-drives: whatever workload the catalogue
 		// entry carries is compiled in as extfun bindings, so the host-side
 		// testbench must not run on top of it. The session starts (and
@@ -310,7 +311,7 @@ func (s *session) forkOverlayLocked() (_ *sim.Overlay, err error) {
 	}
 	snapper, ok := s.eng.(sim.Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("engine %s cannot snapshot", s.cfg)
+		return nil, fmt.Errorf("engine %s cannot snapshot", s.spec)
 	}
 	snap := snapper.Snapshot()
 	digest := snap.Digest()
@@ -326,12 +327,12 @@ func (s *session) forkOverlayLocked() (_ *sim.Overlay, err error) {
 // resurrection all work exactly as for a full session.
 func newLazyFork(id string, parent *session, ov *sim.Overlay) *session {
 	s := &session{
-		id: id, cfg: parent.cfg, env: parent.env, src: parent.src, catalog: parent.catalog,
+		id: id, spec: parent.spec, env: parent.env, src: parent.src, catalog: parent.catalog,
 		designName: parent.designName, nRegs: parent.nRegs, nRules: parent.nRules, d: parent.d,
 		lazy: ov,
 	}
 	s.cow.Store(true)
-	if parent.cfg.Engine == "native" {
+	if parent.spec.Kind == "native" {
 		s.noPromote = true
 	}
 	return s
@@ -352,7 +353,7 @@ func (s *session) materializeLocked() (err error) {
 	if err != nil {
 		return fmt.Errorf("materializing fork %s: %w", s.id, err)
 	}
-	eng, err := s.cfg.build(inst, s.env.ncache)
+	eng, err := build(s.spec, inst, s.env.ncache)
 	if err != nil {
 		return fmt.Errorf("materializing fork %s: %w", s.id, err)
 	}
@@ -364,7 +365,7 @@ func (s *session) materializeLocked() (err error) {
 	snapper, ok := eng.(sim.Snapshotter)
 	if !ok {
 		closeEng()
-		return fmt.Errorf("materializing fork %s: engine %s cannot restore", s.id, s.cfg)
+		return fmt.Errorf("materializing fork %s: engine %s cannot restore", s.id, s.spec)
 	}
 	defer func() {
 		if err != nil {
@@ -374,7 +375,7 @@ func (s *session) materializeLocked() (err error) {
 	c0 := snapper.Snapshot() // fresh engine at cycle 0, for reverse execution
 	snapper.Restore(s.lazy.Flatten())
 	s.eng = wrapEngine(eng, s.env.inj)
-	if s.cfg.Engine == "native" {
+	if s.spec.Kind == "native" {
 		s.tier = "native"
 	}
 	s.lazy = nil
@@ -391,7 +392,7 @@ func (s *session) materializeLocked() (err error) {
 func (s *session) info() SessionInfo {
 	if f := s.failed.Load(); f != nil {
 		inf := SessionInfo{
-			ID: s.id, Design: s.designName, Engine: s.cfg.String(),
+			ID: s.id, Design: s.designName, Engine: s.spec.String(),
 			Registers: s.nRegs, Rules: s.nRules,
 			Durable: s.durable(), Restored: s.restored,
 		}
@@ -408,7 +409,7 @@ func (s *session) info() SessionInfo {
 		// digest matches what a materialized engine would report, so parity
 		// gates hold across the lazy/live boundary.
 		inf := SessionInfo{
-			ID: s.id, Design: s.designName, Engine: s.cfg.String(),
+			ID: s.id, Design: s.designName, Engine: s.spec.String(),
 			Cycle: s.lazy.Cycle(), Registers: s.nRegs, Rules: s.nRules,
 			Digest:  fmt.Sprintf("%016x", s.lazy.Digest()),
 			Durable: true, Restored: s.restored, Cow: true,
@@ -419,7 +420,7 @@ func (s *session) info() SessionInfo {
 	inf := SessionInfo{
 		ID:        s.id,
 		Design:    s.designName,
-		Engine:    s.cfg.String(),
+		Engine:    s.spec.String(),
 		Cycle:     s.eng.CycleCount(),
 		Registers: s.nRegs,
 		Rules:     s.nRules,
@@ -562,7 +563,7 @@ func (s *session) nativeDownLocked() bool {
 // lying binary is not retried every step).
 func (s *session) maybePromoteLocked() {
 	if s.promoted || s.noPromote || s.tier != "" || s.external ||
-		s.env.ncache == nil || s.env.promoteAfter == 0 || s.cfg.Engine != "cuttlesim" {
+		s.env.ncache == nil || s.env.promoteAfter == 0 || s.spec.Kind != "cuttlesim" {
 		return
 	}
 	if s.eng.CycleCount() < s.env.promoteAfter {
@@ -644,7 +645,7 @@ func (s *session) demoteLocked(ctx context.Context, target uint64) bool {
 	if err != nil {
 		return false
 	}
-	eng, err := s.cfg.build(inst, nil)
+	eng, err := build(s.spec, inst, nil)
 	if err != nil {
 		return false
 	}
@@ -919,7 +920,7 @@ func (s *session) profile() (ProfileResponse, error) {
 	}
 	cs, ok := underlying(s.eng).(*cuttlesim.Simulator)
 	if !ok || cs.RuleStats() == nil {
-		return ProfileResponse{}, fmt.Errorf("engine %s does not keep rule profiles (use a cuttlesim or native session)", s.cfg)
+		return ProfileResponse{}, fmt.Errorf("engine %s does not keep rule profiles (use a cuttlesim or native session)", s.spec)
 	}
 	resp := ProfileResponse{Cycle: s.eng.CycleCount()}
 	for _, st := range cs.RuleStats() {
@@ -951,7 +952,7 @@ func (s *session) snapshotLocked() (sim.Snapshot, error) {
 	}
 	snapper, ok := s.eng.(sim.Snapshotter)
 	if !ok {
-		return sim.Snapshot{}, fmt.Errorf("engine %s cannot snapshot", s.cfg)
+		return sim.Snapshot{}, fmt.Errorf("engine %s cannot snapshot", s.spec)
 	}
 	return snapper.Snapshot(), nil
 }
@@ -985,7 +986,7 @@ func (s *session) restoreSnapshot(snap sim.Snapshot) (err error) {
 	}
 	snapper, ok := s.eng.(sim.Snapshotter)
 	if !ok {
-		return fmt.Errorf("engine %s cannot restore", s.cfg)
+		return fmt.Errorf("engine %s cannot restore", s.spec)
 	}
 	snapper.Restore(snap)
 	// Drop now-future in-memory snapshots and remember this one.

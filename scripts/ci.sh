@@ -84,6 +84,14 @@ go run ./cmd/kdiff -cycles 2000 -engines interp \
     -progress c0_ops_done,c1_ops_done -stall 200 -check 'p_state==1,c0_ops_done>=1' \
     -expect-bug -o "$(mktemp -d)" msi-buggy
 
+echo "== cuttlesim CLI: engine names (valid name runs, bad name exits 1)"
+go run ./cmd/cuttlesim -engine 'rtlsim(koika,fused,opt)' -cycles 2000 collatz >/dev/null
+# go run maps every failure to 1, so the exit-code check runs the binary.
+cuttlesim_bin="$(mktemp -d)/cuttlesim"
+go build -o "$cuttlesim_bin" ./cmd/cuttlesim
+set +e; "$cuttlesim_bin" -engine 'cuttlesim(static,foo)' -cycles 10 collatz >/dev/null 2>&1; rc=$?; set -e
+[ "$rc" -eq 1 ] || { echo "bad engine name exited $rc, want 1" >&2; exit 1; }
+
 echo "== bench smoke (Fig1, 100x)"
 go test -run='^$' -bench=Fig1 -benchtime=100x .
 
