@@ -84,7 +84,10 @@ var (
 // Launch spawns a compiled servo binary and performs the handshake,
 // verifying that the binary simulates exactly the design the caller thinks
 // it does (design hash, register and rule counts) before any step runs.
-func Launch(d *ast.Design, res BuildResult) (*Engine, error) {
+func Launch(d *ast.Design, res BuildResult) (*Engine, error) { return launch(d, res, nil) }
+
+// launch is Launch, with the child owned by owner (nil for none).
+func launch(d *ast.Design, res BuildResult, owner *Cache) (*Engine, error) {
 	cmd := exec.Command(res.Path)
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	inPipe, err := cmd.StdinPipe()
@@ -120,7 +123,7 @@ func Launch(d *ast.Design, res BuildResult) (*Engine, error) {
 	for i, r := range d.Rules {
 		e.ruleIdx[r.Name] = i
 	}
-	e.reap = &reapEntry{pid: cmd.Process.Pid, done: e.waitDone}
+	e.reap = &reapEntry{pid: cmd.Process.Pid, done: e.waitDone, owner: owner}
 	reaperAdd(e.reap)
 	go func() {
 		e.waitErr = cmd.Wait()
@@ -522,7 +525,7 @@ func (c *Cache) Engine(d *ast.Design, b *gomodel.Bindings) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, lerr := Launch(d, res)
+	eng, lerr := c.Launch(d, res)
 	if lerr == nil {
 		return eng, nil
 	}
@@ -534,5 +537,9 @@ func (c *Cache) Engine(d *ast.Design, b *gomodel.Bindings) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Launch(d, res)
+	return c.Launch(d, res)
 }
+
+// Launch is the package-level Launch, with the child owned by the cache
+// (see Cache.KillAll).
+func (c *Cache) Launch(d *ast.Design, res BuildResult) (*Engine, error) { return launch(d, res, c) }

@@ -16,8 +16,9 @@ import (
 // targets the group: a simulator that forked helpers cannot escape.
 
 type reapEntry struct {
-	pid  int
-	done <-chan struct{} // closed once the child has been waited on
+	pid   int
+	done  <-chan struct{} // closed once the child has been waited on
+	owner *Cache          // the launching cache; nil for a bare Launch
 }
 
 var reaper struct {
@@ -53,11 +54,20 @@ func Live() int {
 // processes it had to signal. Engines whose children die here observe it as
 // a subprocess crash (sticky error), which is the honest outcome for any
 // call issued after shutdown began.
-func KillAll(timeout time.Duration) int {
+func KillAll(timeout time.Duration) int { return killAll(timeout, nil) }
+
+// KillAll is the package-level KillAll for the children this cache
+// launched; other caches' children keep running.
+func (c *Cache) KillAll(timeout time.Duration) int { return killAll(timeout, c) }
+
+// killAll kills the children owner launched, or every child for nil.
+func killAll(timeout time.Duration, owner *Cache) int {
 	reaper.Lock()
 	snapshot := make([]*reapEntry, 0, len(reaper.procs))
 	for e := range reaper.procs {
-		snapshot = append(snapshot, e)
+		if owner == nil || e.owner == owner {
+			snapshot = append(snapshot, e)
+		}
 	}
 	reaper.Unlock()
 	if len(snapshot) == 0 {

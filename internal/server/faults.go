@@ -37,9 +37,7 @@ func (f *faultEngine) CycleCount() uint64              { return f.inner.CycleCou
 func (f *faultEngine) RuleFired(rule string) bool      { return f.inner.RuleFired(rule) }
 
 func (f *faultEngine) Close() error {
-	if c, ok := f.inner.(interface{ Close() error }); ok {
-		return c.Close()
-	}
+	closeEngine(f.inner)
 	return nil
 }
 

@@ -18,42 +18,18 @@ import (
 // node killed mid-transfer leaves durable-only state that the PR 7 recovery
 // machinery resurrects exactly once.
 
-// handleExport captures a session's state for transfer. With Release set,
+// exportOp captures a session's state for transfer. With Release set,
 // the capture and the retirement happen under one hold of sess.mu: the
 // session is checkpointed durably (when a store is configured), closed, and
 // removed from the table before the response leaves the node, so the
 // exported bytes are the final word on its state and no request can slip in
 // on the closed engine. A failure before the retirement leaves the session
 // live and untouched — export is all-or-nothing.
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req ExportRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	// Gate before taking sess.mu: a wedged session's mu may be held forever.
-	if err := sess.gate(); err != nil {
-		writeError(w, err)
-		return
-	}
-	resp, err := s.export(sess, req.Release)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.exports.Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// export is handleExport's body, shared with tests.
-func (s *Server) export(sess *session, release bool) (_ ExportResponse, err error) {
+func (s *Server) exportOp(_ *http.Request, sess *session, req ExportRequest) (_ ExportResponse, err error) {
 	defer diag.Guard("server: export", &err)
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return ExportResponse{}, err
+	}
 	defer sess.mu.Unlock()
 	snap, err := sess.snapshotLocked()
 	if err != nil {
@@ -69,56 +45,39 @@ func (s *Server) export(sess *session, release bool) (_ ExportResponse, err erro
 		Digest:   fmt.Sprintf("%016x", snap.Digest()),
 		Snapshot: data,
 	}
-	if release {
+	if req.Release {
 		// Durable handoff: persist first so a transfer that dies between
 		// this response and the import on the target can re-home the session
 		// from its last checkpoint instead of losing it.
-		if s.store != nil && sess.durable() {
-			if _, err := s.checkpointLocked(sess); err != nil {
-				return ExportResponse{}, err
-			}
+		if err := s.retireLocked(sess, true, false); err != nil {
+			return ExportResponse{}, err
 		}
-		s.mu.Lock()
-		delete(s.sessions, sess.id)
-		s.mu.Unlock()
-		sess.closeEngine()
 		resp.Released = true
 	}
+	s.exports.Add(1)
 	return resp, nil
 }
 
-// handleRelease retires a live session to its durable state (checkpoint,
+// releaseOp retires a live session to its durable state (checkpoint,
 // close, drop from the table) without shipping its snapshot anywhere: the
 // cheap half of migration when nodes share a store, where the target just
 // resurrects from the checkpoint the release wrote.
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := sess.gate(); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) releaseOp(_ *http.Request, sess *session, _ struct{}) (map[string]string, error) {
 	if s.store == nil {
-		writeError(w, httpError{http.StatusConflict,
-			fmt.Errorf("daemon runs without a store; releasing %q would lose it (use export instead)", sess.id)})
-		return
+		return nil, httpError{http.StatusConflict,
+			fmt.Errorf("daemon runs without a store; releasing %q would lose it (use export instead)", sess.id)}
 	}
-	sess.mu.Lock()
-	_, err = s.checkpointLocked(sess)
-	if err != nil {
-		sess.mu.Unlock()
-		writeError(w, err)
-		return
+	if !sess.durable() {
+		return nil, errNotDurable // a release without its checkpoint would lose the session
 	}
-	s.mu.Lock()
-	delete(s.sessions, sess.id)
-	s.mu.Unlock()
-	sess.closeEngine()
-	sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]string{"released": sess.id})
+	if err := sess.lock(); err != nil {
+		return nil, err
+	}
+	defer sess.mu.Unlock()
+	if err := s.retireLocked(sess, true, false); err != nil {
+		return nil, err
+	}
+	return map[string]string{"released": sess.id}, nil
 }
 
 // handleImport is the receiving end of a migration: rebuild the engine from
@@ -142,43 +101,28 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("import snapshot: %w", err))
 		return
 	}
-	sess, err := newSession(req.ID, CreateRequest{
-		Source: req.Source, Catalog: req.Catalog,
-		Engine: req.Config.Engine, Level: req.Config.Level,
-		Backend: req.Config.Backend, Optimize: req.Config.Optimize,
-		Workers: req.Config.Workers,
-	}, s.env())
+	sess, err := s.rebuild(req.ID, req.Source, req.Catalog, req.Config, snap)
 	if err != nil {
-		writeError(w, fmt.Errorf("rebuilding imported session %q: %w", req.ID, err))
-		return
-	}
-	if err := sess.restoreSnapshot(snap); err != nil {
-		sess.discard()
-		writeError(w, fmt.Errorf("restoring imported session %q: %w", req.ID, err))
+		writeError(w, fmt.Errorf("import: %w", err))
 		return
 	}
 	// The parity gate: the rebuilt engine must resume at exactly the state
 	// the exporter promised, measured on the live engine (not the snapshot
 	// bytes — a restore that silently dropped state must not pass).
-	sess.mu.Lock()
-	gotDigest := fmt.Sprintf("%016x", sim.StateDigest(sess.eng))
-	gotCycle := sess.eng.CycleCount()
-	sess.mu.Unlock()
-	if gotDigest != req.Digest || gotCycle != req.Cycle {
+	got := sess.info()
+	if got.Digest != req.Digest || got.Cycle != req.Cycle {
 		sess.discard()
 		writeError(w, httpError{http.StatusUnprocessableEntity,
 			fmt.Errorf("import gate: restored session %q is at cycle %d digest %s, exporter promised cycle %d digest %s",
-				req.ID, gotCycle, gotDigest, req.Cycle, req.Digest)})
+				req.ID, got.Cycle, got.Digest, req.Cycle, req.Digest)})
 		return
 	}
-	admitted, err := s.admit(sess)
+	admitted, err := s.enter(sess)
 	if err != nil {
-		sess.discard()
 		writeError(w, err)
 		return
 	}
 	if admitted != sess {
-		sess.discard()
 		writeError(w, httpError{http.StatusConflict,
 			fmt.Errorf("session %q is already live on this node", req.ID)})
 		return
@@ -191,5 +135,5 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		_, _ = s.checkpoint(sess)
 	}
 	s.imports.Add(1)
-	writeJSON(w, http.StatusCreated, sess.info())
+	s.writeInfo(w, http.StatusCreated, sess)
 }

@@ -56,7 +56,7 @@ func stepUntilPromoted(t *testing.T, sess *session) {
 			t.Fatalf("step: %v", err)
 		}
 		sess.mu.Lock()
-		tier := sess.tier
+		tier := sess.state().tier()
 		sess.mu.Unlock()
 		if tier == "native" {
 			return
@@ -160,7 +160,7 @@ func TestPromotedSessionDemotesOnCrash(t *testing.T) {
 		t.Fatalf("step after demotion: %v", err)
 	}
 	sess.mu.Lock()
-	noPromote, tier := sess.noPromote, sess.tier
+	noPromote, tier := sess.state().phase == phasePinned, sess.state().tier()
 	sess.mu.Unlock()
 	if !noPromote || tier != "" {
 		t.Fatalf("demoted session re-promoted: noPromote=%v tier=%q", noPromote, tier)

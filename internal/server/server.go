@@ -15,6 +15,7 @@ package server
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cuttlego/internal/bench"
 	"cuttlego/internal/diag"
 	"cuttlego/internal/faultinj"
 	"cuttlego/internal/native"
@@ -123,6 +123,11 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	nextID   uint64
+	// forkTag prefixes the ids of forks this daemon mints. It is random per
+	// daemon: daemons sharing a store each count from their own nextID, and
+	// two forks minted under one id would overwrite (and, on a failed
+	// checkpoint, delete) each other's durable state.
+	forkTag string
 
 	sem        chan struct{} // worker pool slots
 	queueDepth atomic.Int64
@@ -161,6 +166,9 @@ func New(cfg Config) (*Server, error) {
 		idem:     make(map[string]*idemEntry),
 		started:  time.Now(),
 	}
+	var tag [6]byte
+	_, _ = rand.Read(tag[:]) // crypto/rand does not fail on supported platforms
+	s.forkTag = fmt.Sprintf("f%x-", tag)
 	if cfg.StoreDir != "" {
 		fsys := faultinj.OS()
 		if cfg.Faults != nil {
@@ -212,42 +220,38 @@ func (s *Server) env() sessionEnv {
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close gracefully retires the daemon: every durable session is
-// checkpointed to the store (when one is configured) so a restarted daemon
-// can resurrect it, then the session table is dropped. Failed sessions are
-// skipped — a quarantined engine is already closed, and a wedged session's
-// mutex may be held forever by its runaway step, so waiting on it would
-// turn shutdown into a hang.
+// Close gracefully retires every session, durable ones with a checkpoint
+// so a restarted daemon can resurrect them; one whose checkpoint fails is
+// closed anyway, and the first such error is returned. Failed sessions only
+// leave the table (see retire), so a wedged step cannot hang shutdown.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	live := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	s.sessions = make(map[string]*session)
-	s.mu.Unlock()
 	var firstErr error
-	for _, sess := range live {
-		if sess.failed.Load() != nil {
-			continue
-		}
-		if s.store != nil && sess.durable() {
-			if _, err := s.checkpoint(sess); err != nil && firstErr == nil {
+	for _, sess := range s.table() {
+		if err := s.retire(sess, true, false); err != nil {
+			if firstErr == nil {
 				firstErr = fmt.Errorf("checkpoint %s: %w", sess.id, err)
 			}
+			_ = s.retire(sess, false, false)
 		}
-		sess.mu.Lock()
-		sess.closeEngine()
-		sess.mu.Unlock()
 	}
 	if s.ncache != nil {
-		// Backstop against orphaned simulator subprocesses: closeEngine
-		// already reaped each session's child, but a child whose session
-		// was quarantined mid-crash (or leaked by a bug) must not outlive
-		// the daemon.
-		native.KillAll(5 * time.Second)
+		// Retiring reaped each session's child; this reaps the rest of the
+		// daemon's own children — a wedged session's, or one leaked by a
+		// bug — without touching other daemons' in the same process.
+		s.ncache.KillAll(5 * time.Second)
 	}
 	return firstErr
+}
+
+// table lists the sessions in the table.
+func (s *Server) table() []*session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		out = append(out, sess)
+	}
+	return out
 }
 
 // RecoverStore runs the store's startup recovery scan (see Store.Recover);
@@ -264,7 +268,9 @@ func (s *Server) RecoverStore() (RecoverReport, error) {
 // checkpoint captures a session and, when a store is configured, persists
 // meta + snapshot. It returns the checkpoint description.
 func (s *Server) checkpoint(sess *session) (CheckpointResponse, error) {
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return CheckpointResponse{}, err
+	}
 	defer sess.mu.Unlock()
 	return s.checkpointLocked(sess)
 }
@@ -354,38 +360,42 @@ func (s *Server) admit(sess *session) (*session, error) {
 			return nil, errTableFull
 		}
 		// The victim stays in the table — visible to lookups, exclusively
-		// claimed via the evicting flag — until its checkpoint is durably
+		// claimed by its evicting state — until its checkpoint is durably
 		// written. Removing it first would let a concurrent lookup in the
 		// checkpoint window resurrect a stale checkpoint, silently rolling
 		// the session back; and a failed checkpoint would drop live state.
 		// Its own mu is held across the write so the persisted snapshot is
-		// the state clients last observed.
-		victim.evicting = true
-		s.mu.Unlock()
-		victim.mu.Lock()
-		s.mu.Lock()
-		if _, still := s.sessions[victim.id]; !still {
-			// Deleted while we waited for its lock; the slot is already free.
-			victim.evicting = false
-			victim.mu.Unlock()
-			continue
+		// the state clients last observed, and a request queued on that mu
+		// finds the session closed and follows it to its resurrection.
+		if !victim.claimEviction() {
+			continue // failed since the scan
 		}
 		s.mu.Unlock()
-		_, err := s.checkpointLocked(victim)
+		err := s.evict(victim)
 		s.mu.Lock()
-		victim.evicting = false
 		if err != nil {
-			victim.mu.Unlock()
 			return nil, fmt.Errorf("evicting %s: %w", victim.id, err)
 		}
-		delete(s.sessions, victim.id)
-		victim.closeEngine()
-		victim.mu.Unlock()
-		s.evictions.Add(1)
 	}
 	sess.lastUsed = time.Now()
 	s.sessions[sess.id] = sess
 	return sess, nil
+}
+
+// evict retires a claimed victim with a checkpoint, or returns it to
+// service if the checkpoint fails.
+func (s *Server) evict(victim *session) error {
+	victim.mu.Lock()
+	defer victim.mu.Unlock()
+	if victim.state().phase == phaseClosed {
+		return nil // retired by someone else meanwhile; the slot is free all the same
+	}
+	if err := s.retireLocked(victim, true, false); err != nil {
+		victim.abortEviction()
+		return err
+	}
+	s.evictions.Add(1)
+	return nil
 }
 
 // lruDurableLocked picks the least-recently-used evictable session,
@@ -395,7 +405,7 @@ func (s *Server) admit(sess *session) (*session, error) {
 func (s *Server) lruDurableLocked() *session {
 	var victim *session
 	for _, sess := range s.sessions {
-		if !sess.durable() || sess.evicting || sess.failed.Load() != nil {
+		if !sess.durable() || sess.state().phase >= phaseEvicting {
 			continue
 		}
 		if victim == nil || sess.lastUsed.Before(victim.lastUsed) {
@@ -479,18 +489,9 @@ func (s *Server) resurrect(id, ckpt string) (_ *session, err error) {
 		return nil, httpError{http.StatusInternalServerError,
 			fmt.Errorf("checkpoint %s/%s corrupt (quarantined): %v", id, ckpt, err)}
 	}
-	sess, err := newSession(meta.ID, CreateRequest{
-		Source: meta.Source, Catalog: meta.Catalog,
-		Engine: meta.Config.Engine, Level: meta.Config.Level,
-		Backend: meta.Config.Backend, Optimize: meta.Config.Optimize,
-		Workers: meta.Config.Workers,
-	}, s.env())
+	sess, err := s.rebuild(meta.ID, meta.Source, meta.Catalog, meta.Config, snap)
 	if err != nil {
-		return nil, fmt.Errorf("rebuilding session %q: %w", id, err)
-	}
-	if err := sess.restoreSnapshot(snap); err != nil {
-		sess.discard()
-		return nil, fmt.Errorf("restoring session %q: %w", id, err)
+		return nil, err
 	}
 	sess.restored = true
 	if meta.Trace {
@@ -505,16 +506,24 @@ func (s *Server) resurrect(id, ckpt string) (_ *session, err error) {
 	// Another request may have resurrected the same id concurrently; admit
 	// atomically yields to an already-live session, so the first one in
 	// wins and the loser's rebuild is discarded.
-	admitted, err := s.admit(sess)
+	admitted, err := s.enter(sess)
+	if err == nil && admitted == sess {
+		s.restores.Add(1)
+	}
+	return admitted, err
+}
+
+// rebuild builds a session from its recipe and restores snap into it.
+func (s *Server) rebuild(id, src, catalog string, c EngineConfig, snap sim.Snapshot) (*session, error) {
+	sess, err := newSession(id, CreateRequest{Source: src, Catalog: catalog, Engine: c.Engine, Level: c.Level,
+		Backend: c.Backend, Optimize: c.Optimize, Workers: c.Workers}, s.env())
 	if err != nil {
-		sess.discard()
-		return nil, err
+		return nil, fmt.Errorf("rebuilding session %q: %w", id, err)
 	}
-	if admitted != sess {
+	if err := sess.restoreSnapshot(snap); err != nil {
 		sess.discard()
-		return admitted, nil
+		return nil, fmt.Errorf("restoring session %q: %w", id, err)
 	}
-	s.restores.Add(1)
 	return sess, nil
 }
 
@@ -549,7 +558,7 @@ func (s *Server) release() { <-s.sem }
 // watchdog: the runaway goroutine may hold sess.mu forever, so nothing here
 // touches the session beyond its atomics.
 func (s *Server) wedge(sess *session, reason string) {
-	if sess.failed.CompareAndSwap(nil, &sessionFailure{state: stateWedged, reason: reason}) {
+	if sess.fail(stateWedged, reason) {
 		s.wedged.Add(1)
 	}
 }
@@ -572,7 +581,7 @@ func (s *Server) noteFailure(sess *session, err error) {
 // panic again, and the store may be failing too.
 func (s *Server) quarantine(sess *session, internal *diag.Internal) {
 	reason := "engine panic: " + internal.Error()
-	if !sess.failed.CompareAndSwap(nil, &sessionFailure{state: stateQuarantined, reason: reason}) {
+	if !sess.fail(stateQuarantined, reason) {
 		return
 	}
 	s.quarantines.Add(1)
@@ -603,25 +612,30 @@ func (s *Server) quarantine(sess *session, internal *diag.Internal) {
 	}
 	func() {
 		defer func() { _ = recover() }()
-		sess.closeEngine()
+		sess.releaseLocked()
 	}()
 }
 
 // stepResult carries a step's outcome across the watchdog boundary.
 type stepResult struct {
-	ran     uint64
-	stopped string
-	err     error
+	resp StepResponse
+	err  error
 }
 
-// runStep executes one step request under the watchdog. The work runs in a
+// runStep executes one step request on the live session behind sess (see
+// live) under the watchdog.
+func (s *Server) runStep(r *http.Request, sess *session, cycles uint64) (StepResponse, error) {
+	return live(s, sess, func(sess *session) (StepResponse, error) { return s.watchStep(r, sess, cycles) })
+}
+
+// watchStep runs one step on sess under the watchdog. The work runs in a
 // goroutine that owns the pool slot, the step context, and the cycle
 // accounting, so when the watchdog fires the handler abandons the step
 // without leaking the slot if the runaway ever finishes; if it never does,
 // the slot is lost with the session — which is why the session is marked
 // wedged and the bounded queue caps how much a few lost slots can back up.
-func (s *Server) runStep(r *http.Request, sess *session, cycles uint64) (StepResponse, error) {
-	if err := sess.gate(); err != nil {
+func (s *Server) watchStep(r *http.Request, sess *session, cycles uint64) (StepResponse, error) {
+	if err := sess.check(); err != nil {
 		return StepResponse{}, err
 	}
 	if err := s.acquire(r.Context()); err != nil {
@@ -632,9 +646,9 @@ func (s *Server) runStep(r *http.Request, sess *session, cycles uint64) (StepRes
 	go func() {
 		defer s.release()
 		defer cancel()
-		ran, stopped, err := sess.step(ctx, cycles)
-		s.addCycles(ran)
-		done <- stepResult{ran, stopped, err}
+		resp, err := sess.run(ctx, cycles)
+		s.addCycles(resp.Ran)
+		done <- stepResult{resp, err}
 	}()
 	watchdog := time.NewTimer(s.cfg.Watchdog)
 	defer watchdog.Stop()
@@ -644,10 +658,7 @@ func (s *Server) runStep(r *http.Request, sess *session, cycles uint64) (StepRes
 			s.noteFailure(sess, res.err)
 			return StepResponse{}, res.err
 		}
-		sess.mu.Lock()
-		resp := StepResponse{Ran: res.ran, Cycle: sess.eng.CycleCount(), Stopped: res.stopped, Fired: sess.fired()}
-		sess.mu.Unlock()
-		return resp, nil
+		return res.resp, nil
 	case <-watchdog.C:
 		reason := fmt.Sprintf("a step of %d cycles outlived the %s watchdog", cycles, s.cfg.Watchdog)
 		s.wedge(sess, reason)
@@ -705,25 +716,69 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sessions", s.withIdem(s.handleCreate))
 	s.mux.HandleFunc("GET /v1/sessions", s.handleList)
 	s.mux.HandleFunc("POST /v1/resurrect", s.handleResurrect)
-	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleInfo)
+	s.mux.HandleFunc("GET /v1/sessions/{id}", route(s, http.StatusOK,
+		func(_ *http.Request, sess *session, _ struct{}) (SessionInfo, error) { return sess.describe() }))
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.withIdem(s.handleStep))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/regs", s.handleRegs)
-	s.mux.HandleFunc("GET /v1/sessions/{id}/profile", s.handleProfile)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/break", s.handleBreak)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/restore", s.handleRestore)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/fork", s.handleFork)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/reverse", s.handleReverse)
-	s.mux.HandleFunc("GET /v1/sessions/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/trace/record", s.handleTraceRecord)
-	s.mux.HandleFunc("GET /v1/sessions/{id}/trace/status", s.handleTraceStatus)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/trace/query", s.handleTraceQuery)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/trace/diff", s.handleTraceDiff)
-	s.mux.HandleFunc("GET /v1/sessions/{id}/trace/vcd", s.handleTraceVCD)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/export", s.handleExport)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/release", s.handleRelease)
+	s.mux.HandleFunc("POST /v1/sessions/{id}/step", s.withIdem(route(s, http.StatusOK, s.stepOp)))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/regs", route(s, http.StatusOK, s.regsOp))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/profile", route(s, http.StatusOK, profileOp))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/break", route(s, http.StatusOK, breakOp))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", route(s, http.StatusOK,
+		func(_ *http.Request, sess *session, _ struct{}) (CheckpointResponse, error) {
+			return s.checkpoint(sess)
+		}))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/restore", route(s, http.StatusOK, s.restoreOp))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/fork", route(s, http.StatusCreated, s.forkOp))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/reverse", route(s, http.StatusOK, s.reverseOp))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/trace", s.onSession(s.traceStream))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/trace/record", route(s, http.StatusOK, s.traceRecordOp))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/trace/status", route(s, http.StatusOK, s.traceStatusOp))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/trace/query", route(s, http.StatusOK, s.traceQueryOp))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/trace/diff", route(s, http.StatusOK, s.traceDiffOp))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/trace/vcd", s.onSession(s.traceVCD))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/export", route(s, http.StatusOK, s.exportOp))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/release", route(s, http.StatusOK, s.releaseOp))
 	s.mux.HandleFunc("POST /v1/import", s.handleImport)
+}
+
+// onSession serves a request on one session that h answers itself: the
+// path's id is looked up (resurrecting a durable session that is not live)
+// and h runs on the live session (see live). An error h returns before it
+// writes anything becomes the error response.
+func (s *Server) onSession(h func(http.ResponseWriter, *http.Request, *session) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sess, err := s.lookup(r.PathValue("id"))
+		if err == nil {
+			_, err = live(s, sess, func(sess *session) (struct{}, error) { return struct{}{}, h(w, r, sess) })
+		}
+		if err != nil {
+			writeError(w, err)
+		}
+	}
+}
+
+// route serves an operation on one session: the path's id is looked up
+// (resurrecting a durable session that is not live), the JSON body is
+// decoded into a Req (a struct{} Req takes no body), op runs on the live
+// session — following it through concurrent retirements, see live — and
+// its result is the response.
+func route[Req, Resp any](s *Server, status int, op func(*http.Request, *session, Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sess, err := s.lookup(r.PathValue("id"))
+		var req Req
+		if _, none := any(req).(struct{}); err == nil && !none {
+			err = s.decode(w, r, &req)
+		}
+		var resp Resp
+		if err == nil {
+			resp, err = live(s, sess, func(sess *session) (Resp, error) { return op(r, sess, req) })
+		}
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, status, resp)
+	}
 }
 
 // decode reads a bounded JSON request body. Exceeding the body budget is
@@ -755,25 +810,23 @@ func (e httpError) Unwrap() error { return e.err }
 // errorStatus maps an error to the API's status contract: explicit statuses
 // pass through; unknown sessions are 404; non-durable operations and failed
 // (wedged/quarantined) sessions are 409; overload is 429/503 with a
-// Retry-After hint; toolchain bugs (diag.Internal) are 500; everything else
+// Retry-After hint (as is a session retired under a request more often than
+// it could follow); toolchain bugs (diag.Internal) are 500; everything else
 // the client can fix is 400.
 func errorStatus(err error) (status, retryAfter int) {
 	var he httpError
 	var unknown unknownSession
-	var failed *sessionFailedError
 	var internal *diag.Internal
 	switch {
 	case errors.As(err, &he):
 		return he.status, 0
 	case errors.As(err, &unknown):
 		return http.StatusNotFound, 0
-	case errors.As(err, &failed):
-		return http.StatusConflict, 0
 	case errors.Is(err, errNotDurable):
 		return http.StatusConflict, 0
 	case errors.Is(err, errTableFull):
 		return http.StatusTooManyRequests, 2
-	case errors.Is(err, errOverloaded):
+	case errors.Is(err, errOverloaded), errors.Is(err, errRetired):
 		return http.StatusServiceUnavailable, 1
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable, 1
@@ -806,20 +859,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	nsess := len(s.sessions)
+	sessions := s.table()
 	lazy := 0
-	for _, sess := range s.sessions {
-		if sess.cow.Load() {
+	for _, sess := range sessions {
+		if sess.state().live() == phaseLazy {
 			lazy++
 		}
 	}
-	s.mu.Unlock()
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
 	now := time.Now()
 	writeJSON(w, http.StatusOK, Metrics{
-		Sessions:     nsess,
+		Sessions:     len(sessions),
 		TotalCycles:  s.totalCycles.Load(),
 		CyclesPerSec: s.rate.perSec(now),
 		QueueDepth:   int(s.queueDepth.Load()),
@@ -883,31 +934,24 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	admitted, err := s.admit(sess)
+	admitted, err := s.enter(sess)
 	if err != nil {
-		sess.discard()
 		writeError(w, err)
 		return
 	}
 	if admitted != sess {
 		// Only reachable for claimed ids: daemon-minted ids are unique.
-		sess.discard()
 		writeError(w, httpError{http.StatusConflict,
 			fmt.Errorf("session %q is already live", id)})
 		return
 	}
-	writeJSON(w, http.StatusCreated, sess.info())
+	s.writeInfo(w, http.StatusCreated, sess)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	live := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	s.mu.Unlock()
-	resp := ListResponse{Sessions: make([]SessionInfo, 0, len(live))}
-	for _, sess := range live {
+	sessions := s.table()
+	resp := ListResponse{Sessions: make([]SessionInfo, 0, len(sessions))}
+	for _, sess := range sessions {
 		resp.Sessions = append(resp.Sessions, sess.info())
 	}
 	sortSessions(resp.Sessions)
@@ -930,16 +974,14 @@ func (s *Server) handleResurrect(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	cur, live := s.sessions[req.Session]
-	if live && cur.failed.Load() != nil {
+	s.mu.Unlock()
+	if live && cur.state().phase == phaseFailed {
 		// A failed tombstone yields to resurrection: the client is asking for
 		// the rebuild-from-last-durable-checkpoint the 409 message promised.
-		// A quarantined engine is already closed, and a wedged one cannot be
-		// touched (its mu may be held forever), so dropping the table entry
-		// is all the cleanup there is.
-		delete(s.sessions, req.Session)
+		// Retiring a failed session only drops its table entry.
+		_ = s.retire(cur, false, false)
 		live = false
 	}
-	s.mu.Unlock()
 	if live {
 		writeError(w, httpError{http.StatusConflict,
 			fmt.Errorf("session %q is already live; use its restore endpoint to rewind it", req.Session)})
@@ -950,33 +992,17 @@ func (s *Server) handleResurrect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sess.info())
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sess.info())
+	s.writeInfo(w, http.StatusOK, sess)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
-	delete(s.sessions, id)
 	s.mu.Unlock()
-	if ok && sess.failed.Load() == nil {
-		// Failed sessions are skipped: a quarantined engine is already
-		// closed, and a wedged session's mu may be held forever by its
-		// runaway step — blocking DELETE on it would wedge the caller too.
-		sess.mu.Lock()
-		sess.closeEngine()
-		sess.mu.Unlock()
-	}
-	if !ok {
+	if ok {
+		_ = s.retire(sess, false, true)
+	} else {
 		// HasSession, not LoadMeta: a session whose meta.json is corrupt or
 		// quarantined must still be deletable, or damaged state could never
 		// be cleared.
@@ -992,121 +1018,51 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
-func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req StepRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) stepOp(r *http.Request, sess *session, req StepRequest) (StepResponse, error) {
 	if req.Cycles == 0 || req.Cycles > s.cfg.MaxStepCycles {
-		writeError(w, fmt.Errorf("cycles must be in [1, %d], got %d", s.cfg.MaxStepCycles, req.Cycles))
-		return
+		return StepResponse{}, fmt.Errorf("cycles must be in [1, %d], got %d", s.cfg.MaxStepCycles, req.Cycles)
 	}
-	resp, err := s.runStep(r, sess, req.Cycles)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.runStep(r, sess, req.Cycles)
 }
 
-func (s *Server) handleRegs(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req RegsRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) regsOp(_ *http.Request, sess *session, req RegsRequest) (RegsResponse, error) {
 	resp, err := sess.regs(req)
-	if err != nil {
-		s.noteFailure(sess, err)
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.noteFailure(sess, err)
+	return resp, err
 }
 
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func profileOp(_ *http.Request, sess *session, _ struct{}) (ProfileResponse, error) {
 	resp, err := sess.profile()
 	if err != nil {
-		writeError(w, httpError{http.StatusConflict, err})
-		return
+		return resp, httpError{http.StatusConflict, err}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (s *Server) handleBreak(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req BreakRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
+func breakOp(_ *http.Request, sess *session, req BreakRequest) (map[string]string, error) {
 	if err := sess.setBreak(req); err != nil {
-		writeError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	return map[string]string{"status": "ok"}, nil
 }
 
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	resp, err := s.checkpoint(sess)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req RestoreRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) restoreOp(_ *http.Request, sess *session, req RestoreRequest) (SessionInfo, error) {
 	if req.Checkpoint == "" {
-		writeError(w, fmt.Errorf("checkpoint id required"))
-		return
+		return SessionInfo{}, fmt.Errorf("checkpoint id required")
+	}
+	// Checked first: loadCheckpoint may take mu, which a wedged step holds.
+	if err := sess.check(); err != nil {
+		return SessionInfo{}, err
 	}
 	snap, err := s.loadCheckpoint(sess, req.Checkpoint)
 	if err != nil {
-		writeError(w, err)
-		return
+		return SessionInfo{}, err
 	}
 	if err := sess.restoreSnapshot(snap); err != nil {
 		s.noteFailure(sess, err)
-		writeError(w, err)
-		return
+		return SessionInfo{}, err
 	}
-	writeJSON(w, http.StatusOK, sess.info())
+	return s.infoOf(sess)
 }
 
 // loadCheckpoint finds a checkpoint in the durable store, falling back to
@@ -1131,39 +1087,28 @@ func (s *Server) loadCheckpoint(sess *session, ckpt string) (sim.Snapshot, error
 	return sim.Snapshot{}, fmt.Errorf("session %q has no checkpoint %q", sess.id, ckpt)
 }
 
-// handleFork creates a copy-on-write fork: the new session shares the
+// forkOp creates a copy-on-write fork: the new session shares the
 // parent's state as an immutable base snapshot plus its own dirty-register
 // overlay, and builds no engine until its first mutation-heavy operation
 // (step, trace, reverse, profile). A fork storm of N what-if sessions over
 // one base therefore costs one retained register file plus N overlays, not
 // N engines and N register files.
-func (s *Server) handleFork(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
+func (s *Server) forkOp(_ *http.Request, sess *session, _ struct{}) (SessionInfo, error) {
+	if err := sess.lock(); err != nil {
+		return SessionInfo{}, err
 	}
-	// Gate before taking sess.mu: a wedged session's mu may be held forever.
-	if err := sess.gate(); err != nil {
-		writeError(w, err)
-		return
-	}
-	sess.mu.Lock()
 	ov, err := sess.forkOverlayLocked()
 	sess.mu.Unlock()
 	if err != nil {
-		writeError(w, err)
-		return
+		return SessionInfo{}, err
 	}
 	s.mu.Lock()
 	s.nextID++
-	id := "s" + strconv.FormatUint(s.nextID, 10)
+	id := s.forkTag + strconv.FormatUint(s.nextID, 10)
 	s.mu.Unlock()
 	fork := newLazyFork(id, sess, ov)
-	if _, err := s.admit(fork); err != nil {
-		fork.discard()
-		writeError(w, err)
-		return
+	if _, err := s.enter(fork); err != nil {
+		return SessionInfo{}, err
 	}
 	if s.store != nil && fork.durable() {
 		// The fork is durable from birth: flatten the overlay into a stored
@@ -1171,88 +1116,66 @@ func (s *Server) handleFork(w http.ResponseWriter, r *http.Request) {
 		// fork's first step can still resurrect it. A fork the daemon cannot
 		// persist is not admitted at all — half-durable sessions would break
 		// the resurrection promise.
-		if _, err := s.checkpoint(fork); err != nil {
-			s.mu.Lock()
-			delete(s.sessions, fork.id)
-			s.mu.Unlock()
-			fork.discard()
+		if _, err := live(s, fork, s.checkpoint); err != nil {
+			_ = s.retire(fork, false, true)
 			_ = s.store.Remove(fork.id)
-			writeError(w, fmt.Errorf("persisting fork %s: %w", fork.id, err))
-			return
+			return SessionInfo{}, fmt.Errorf("persisting fork %s: %w", fork.id, err)
 		}
 	}
 	s.forks.Add(1)
-	writeJSON(w, http.StatusCreated, fork.info())
+	return s.infoOf(fork)
 }
 
-func (s *Server) handleReverse(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req ReverseRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) reverseOp(r *http.Request, sess *session, req ReverseRequest) (SessionInfo, error) {
 	if err := s.acquire(r.Context()); err != nil {
-		writeError(w, fmt.Errorf("queue wait: %w", err))
-		return
+		return SessionInfo{}, fmt.Errorf("queue wait: %w", err)
 	}
 	defer s.release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.StepTimeout)
 	defer cancel()
 	if err := sess.reverse(ctx, req.Cycles); err != nil {
 		s.noteFailure(sess, err)
-		writeError(w, err)
-		return
+		return SessionInfo{}, err
 	}
-	writeJSON(w, http.StatusOK, sess.info())
+	// Described apart, so a retirement right after the reverse re-runs
+	// only the description, never the reverse.
+	return s.infoOf(sess)
 }
 
-// handleTrace streams a trace of the next N cycles: format=vcd streams a
+// traceStream streams a trace of the next N cycles: format=vcd streams a
 // Value Change Dump, format=events (default) streams NDJSON TraceEvent
 // lines. The response is chunked; the session advances as the trace runs.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) traceStream(w http.ResponseWriter, r *http.Request, sess *session) error {
 	q := r.URL.Query()
 	cycles, err := strconv.ParseUint(q.Get("cycles"), 10, 64)
 	if err != nil || cycles == 0 || cycles > s.cfg.MaxStepCycles {
-		writeError(w, fmt.Errorf("trace wants cycles in [1, %d], got %q", s.cfg.MaxStepCycles, q.Get("cycles")))
-		return
+		return fmt.Errorf("trace wants cycles in [1, %d], got %q", s.cfg.MaxStepCycles, q.Get("cycles"))
 	}
 	format := q.Get("format")
 	if format == "" {
 		format = "events"
 	}
 	if format != "events" && format != "vcd" {
-		writeError(w, fmt.Errorf("unknown trace format %q (want events or vcd)", format))
-		return
+		return fmt.Errorf("unknown trace format %q (want events or vcd)", format)
 	}
-	// Gate before taking sess.mu: a wedged session's mu may be held forever.
-	if err := sess.gate(); err != nil {
-		writeError(w, err)
-		return
+	// Check before queueing: a wedged session's mu may be held forever.
+	if err := sess.check(); err != nil {
+		return err
 	}
 	if err := s.acquire(r.Context()); err != nil {
-		writeError(w, fmt.Errorf("queue wait: %w", err))
-		return
+		return fmt.Errorf("queue wait: %w", err)
 	}
 	defer s.release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.StepTimeout)
 	defer cancel()
 
-	sess.mu.Lock()
+	if err := sess.lock(); err != nil {
+		return err
+	}
 	defer sess.mu.Unlock()
 	// Tracing executes cycles, so a lazy fork diverges here.
 	if err := sess.materializeLocked(); err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	// The stream holds sess.mu and a worker-pool slot, and the step-timeout
 	// ctx only bounds simulation — not writes to a stalled client. A rolling
@@ -1274,7 +1197,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		vw := vcd.New(w, sess.eng)
 		if err := vw.Sample(); err != nil {
-			return
+			return nil
 		}
 		var sinceFlush int
 		n, _, err := sess.stepLocked(ctx, cycles, func() error {
@@ -1295,7 +1218,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		enc := json.NewEncoder(w)
 		d := sess.design()
-		last := sess.valuesLocked()
+		last := sim.StateOf(sess.eng)
 		n, _, _ := sess.stepLocked(ctx, cycles, func() error {
 			ev := TraceEvent{Cycle: sess.eng.CycleCount()}
 			for _, name := range d.Schedule {
@@ -1303,7 +1226,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 					ev.Fired = append(ev.Fired, name)
 				}
 			}
-			now := sess.valuesLocked()
+			now := sim.StateOf(sess.eng)
 			for i, v := range now {
 				if v != last[i] {
 					if ev.Changed == nil {
@@ -1321,6 +1244,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		})
 		ran = n
 	}
+	return nil
 }
 
 // Describe returns a one-line description of the daemon's limits, for the
@@ -1333,6 +1257,3 @@ func (s *Server) Describe() string {
 	}
 	return desc
 }
-
-// catalogNames is re-exported for the CLI usage string.
-func catalogNames() []string { return bench.Names() }

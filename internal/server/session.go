@@ -29,34 +29,6 @@ import (
 // images, workload cursors), so a snapshot alone cannot reproduce them.
 var errNotDurable = errors.New("session is not self-driving; snapshot operations are unavailable")
 
-// Session failure states. A failed session stays in the table as a
-// tombstone — visible to info/list with its state, 409 for everything else
-// — until the client deletes it or resurrects it from a durable
-// checkpoint. The state is sticky: an engine that panicked or blew its
-// watchdog cannot be trusted again.
-const (
-	stateWedged      = "wedged"      // a step outlived the watchdog; the engine may be stuck inside one cycle
-	stateQuarantined = "quarantined" // the engine panicked; diagnostics were captured and the engine closed
-)
-
-// sessionFailure is the sticky reason a session was taken out of service.
-type sessionFailure struct {
-	state  string
-	reason string
-}
-
-// sessionFailedError reports an operation against a failed session; it
-// maps to 409 so clients distinguish "this session is damaged" from "this
-// session does not exist".
-type sessionFailedError struct {
-	id, state, reason string
-}
-
-func (e *sessionFailedError) Error() string {
-	return fmt.Sprintf("session %s is %s (%s); delete it, or resurrect it from its last durable checkpoint",
-		e.id, e.state, e.reason)
-}
-
 // sessionEnv is the server-owned machinery a session needs beyond its own
 // request: fault injection, the AOT compile cache (nil when the native tier
 // is disabled), the promotion threshold, and the shared tier counters.
@@ -108,13 +80,17 @@ type session struct {
 	// the same source, so sharing the parent's pointer is safe.
 	d *ast.Design
 
+	// st is the lifecycle state (lifecycle.go): the one place that says
+	// whether the session is a lazy fork, live on which tier, being evicted,
+	// failed, or closed. It is read without mu.
+	st atomic.Pointer[state]
+
 	mu       sync.Mutex
-	eng      sim.Engine // nil while lazy is non-nil (an unmaterialized fork)
+	eng      sim.Engine // nil while lazy (an unmaterialized fork) and once released
 	tb       sim.Testbench
 	conds    []sessionCond
 	snaps    []sim.Snapshot // in-memory ring for reverse execution
 	restored bool
-	closed   bool // engine released; guarded by mu
 
 	// rec, while non-nil, records every executed cycle into the session's
 	// on-disk trace store (row c = register values at cycle c). Guarded by
@@ -125,58 +101,30 @@ type session struct {
 	traceFS  faultinj.FS
 	traceRow []uint64 // scratch row, reused every cycle
 
-	// lazy, while non-nil, is the copy-on-write state of a fork that has
-	// not diverged into its own engine: a shared immutable base snapshot
+	// lazy, in the lazy phase, is the copy-on-write state of a fork that
+	// has not diverged into its own engine: a shared immutable base snapshot
 	// plus this fork's dirty registers. Reads (info, regs, checkpoint,
 	// export, fork-of-fork) are answered from the overlay; the first
 	// mutation-heavy operation (step, trace, reverse, profile) pays the
 	// one-time materialization: build the engine, restore the flattened
-	// overlay, clear lazy. Guarded by mu; cow mirrors it for lock-free
-	// metrics.
+	// overlay, clear lazy. Guarded by mu.
 	lazy *sim.Overlay
-	cow  atomic.Bool
 	// forkBase caches the last snapshot published as a fork base, keyed by
 	// (cycle, digest): ten thousand forks taken at the same parent state
 	// share one retained register file instead of ten thousand copies.
 	forkBase       *sim.Snapshot
 	forkBaseDigest uint64
 
-	// Execution-tier state (guarded by mu). tier is "" while the session
-	// runs in-process and "native" on the AOT subprocess tier; promoted
-	// distinguishes a transparently promoted session (demotable on crash)
-	// from one whose client asked for the native engine outright.
-	tier           string
-	promoted       bool
-	noPromote      bool // sticky: promotion failed or was rolled back
-	compileStarted bool
-	compiled       atomic.Pointer[nativeBuild]
+	// compiled publishes the asynchronous promotion compile's result.
+	compiled atomic.Pointer[nativeBuild]
 
-	// failed, once set, fails every simulation operation with 409. It is
-	// read without mu (a wedged session's mu may never be released), so it
-	// lives in an atomic.
-	failed atomic.Pointer[sessionFailure]
 	// lastInfo caches the most recent successfully computed SessionInfo so
-	// info() on a failed session can answer without the engine.
+	// info() on a failed or retired session can answer without the engine.
 	lastInfo atomic.Pointer[SessionInfo]
 
 	// lastUsed orders LRU eviction; guarded by the server's mutex, not the
 	// session's, so the server can scan it without stalling on a long step.
 	lastUsed time.Time
-	// evicting marks a session one admit has claimed as its eviction victim,
-	// so concurrent admits pick a different one. Guarded by the server's
-	// mutex; the session stays in the table until its checkpoint is written.
-	evicting bool
-}
-
-// gate fails fast when the session has been wedged or quarantined. Every
-// simulation entry point calls it before taking mu: a wedged session's mu
-// may be held forever by the runaway step, and blocking new requests
-// behind it would wedge the callers too.
-func (s *session) gate() error {
-	if f := s.failed.Load(); f != nil {
-		return &sessionFailedError{id: s.id, state: f.state, reason: f.reason}
-	}
-	return nil
 }
 
 type sessionCond struct {
@@ -238,47 +186,25 @@ func newSession(id string, req CreateRequest, env sessionEnv) (_ *session, err e
 		external:   inst.Bench != nil,
 		designName: d.Name, nRegs: len(d.Registers), nRules: len(d.Rules), d: d,
 	}
-	if spec.Kind == "native" {
+	s.st.Store(&state{phase: s.startPhase()})
+	if spec.Kind != "native" {
 		// The native binary self-drives: whatever workload the catalogue
 		// entry carries is compiled in as extfun bindings, so the host-side
-		// testbench must not run on top of it. The session starts (and
-		// stays) on the native tier; there is nothing to promote.
-		s.tier = "native"
-		s.noPromote = true
-	} else {
+		// testbench must not run on top of it.
 		s.tb = inst.Bench
 	}
 	s.recordSnapshot()
 	return s, nil
 }
 
-// closeEngine releases the engine's worker pool, if it has one (parallel
-// engines hold goroutines). Callers must hold the session mutex so a pool
-// is never torn down under an in-flight step; the call is idempotent. A
-// lazy fork has no engine yet, so there is nothing to release.
-func (s *session) closeEngine() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.rec != nil {
-		_ = s.rec.Close() // flush the buffered trace tail; the files outlive the session object
-		s.rec = nil
-	}
-	if s.eng == nil {
-		return
-	}
-	if c, ok := s.eng.(interface{ Close() error }); ok {
-		_ = c.Close()
-	}
-}
-
-// discard releases a session that was built but never admitted to the
-// table (a failed restore, a lost admit race, a full table): without this,
-// parallel engines leak their worker pools.
+// discard closes a session that was built but never admitted to the table
+// (a failed restore, a lost admit race, a full table): without this,
+// parallel engines leak their worker pools and native ones their
+// subprocesses.
 func (s *session) discard() {
 	s.mu.Lock()
-	s.closeEngine()
+	s.markClosed(false)
+	s.releaseLocked()
 	s.mu.Unlock()
 }
 
@@ -331,10 +257,7 @@ func newLazyFork(id string, parent *session, ov *sim.Overlay) *session {
 		designName: parent.designName, nRegs: parent.nRegs, nRules: parent.nRules, d: parent.d,
 		lazy: ov,
 	}
-	s.cow.Store(true)
-	if parent.spec.Kind == "native" {
-		s.noPromote = true
-	}
+	s.st.Store(&state{phase: phaseLazy})
 	return s
 }
 
@@ -357,80 +280,75 @@ func (s *session) materializeLocked() (err error) {
 	if err != nil {
 		return fmt.Errorf("materializing fork %s: %w", s.id, err)
 	}
-	closeEng := func() {
-		if c, ok := eng.(interface{ Close() error }); ok {
-			_ = c.Close()
-		}
-	}
-	snapper, ok := eng.(sim.Snapshotter)
-	if !ok {
-		closeEng()
-		return fmt.Errorf("materializing fork %s: engine %s cannot restore", s.id, s.spec)
-	}
 	defer func() {
 		if err != nil {
-			closeEng() // a panic inside Restore must not leak the engine
+			closeEngine(eng) // a panic inside Restore must not leak the engine
 		}
 	}()
+	snapper, ok := eng.(sim.Snapshotter)
+	if !ok {
+		return fmt.Errorf("materializing fork %s: engine %s cannot restore", s.id, s.spec)
+	}
 	c0 := snapper.Snapshot() // fresh engine at cycle 0, for reverse execution
 	snapper.Restore(s.lazy.Flatten())
 	s.eng = wrapEngine(eng, s.env.inj)
-	if s.spec.Kind == "native" {
-		s.tier = "native"
-	}
 	s.lazy = nil
-	s.cow.Store(false)
+	s.markMaterialized()
 	s.snaps = append(s.snaps[:0], c0)
 	s.recordSnapshot()
 	return nil
 }
 
 // info snapshots the session's public description. Callers must not hold
-// mu. A failed session answers from cached facts — a wedged session's mu
-// may never come free, and a quarantined session's engine is closed — with
-// State set and the cycle/digest as of the last healthy observation.
+// mu. A failed or retired session answers from cached facts (see
+// cachedInfo); handlers use Server.writeInfo, which follows a retired
+// session to its live successor instead.
 func (s *session) info() SessionInfo {
-	if f := s.failed.Load(); f != nil {
-		inf := SessionInfo{
-			ID: s.id, Design: s.designName, Engine: s.spec.String(),
-			Registers: s.nRegs, Rules: s.nRules,
-			Durable: s.durable(), Restored: s.restored,
-		}
-		if last := s.lastInfo.Load(); last != nil {
-			inf.Cycle, inf.Digest, inf.Tier = last.Cycle, last.Digest, last.Tier
-		}
-		inf.State = f.state
-		return inf
+	inf, err := s.describe()
+	if err != nil {
+		return s.cachedInfo()
 	}
-	s.mu.Lock()
+	return inf
+}
+
+// cachedInfo describes the session without its engine — a wedged session's
+// mu may never come free, and a quarantined or retired session's engine is
+// released — from immutable facts and the last healthy observation, with
+// State set for a failed session.
+func (s *session) cachedInfo() SessionInfo {
+	inf := SessionInfo{
+		ID: s.id, Design: s.designName, Engine: s.spec.String(),
+		Registers: s.nRegs, Rules: s.nRules,
+		Durable: s.durable(), Restored: s.restored,
+		State: s.state().failure,
+	}
+	if last := s.lastInfo.Load(); last != nil {
+		inf.Cycle, inf.Digest, inf.Tier = last.Cycle, last.Digest, last.Tier
+	}
+	return inf
+}
+
+// describe is info for a live session; a retired one reports errRetired.
+func (s *session) describe() (SessionInfo, error) {
+	if err := s.lock(); err != nil {
+		if s.state().phase == phaseFailed {
+			return s.cachedInfo(), nil
+		}
+		return SessionInfo{}, err
+	}
 	defer s.mu.Unlock()
+	inf := s.cachedInfo()
+	inf.Tier = s.state().tier()
 	if s.lazy != nil {
 		// An unmaterialized fork describes itself from its overlay; the
 		// digest matches what a materialized engine would report, so parity
 		// gates hold across the lazy/live boundary.
-		inf := SessionInfo{
-			ID: s.id, Design: s.designName, Engine: s.spec.String(),
-			Cycle: s.lazy.Cycle(), Registers: s.nRegs, Rules: s.nRules,
-			Digest:  fmt.Sprintf("%016x", s.lazy.Digest()),
-			Durable: true, Restored: s.restored, Cow: true,
-		}
-		s.lastInfo.Store(&inf)
-		return inf
-	}
-	inf := SessionInfo{
-		ID:        s.id,
-		Design:    s.designName,
-		Engine:    s.spec.String(),
-		Cycle:     s.eng.CycleCount(),
-		Registers: s.nRegs,
-		Rules:     s.nRules,
-		Digest:    fmt.Sprintf("%016x", sim.StateDigest(s.eng)),
-		Durable:   s.durable(),
-		Restored:  s.restored,
-		Tier:      s.tier,
+		inf.Cycle, inf.Digest, inf.Cow = s.lazy.Cycle(), fmt.Sprintf("%016x", s.lazy.Digest()), true
+	} else {
+		inf.Cycle, inf.Digest = s.eng.CycleCount(), fmt.Sprintf("%016x", sim.StateDigest(s.eng))
 	}
 	s.lastInfo.Store(&inf)
-	return inf
+	return inf, nil
 }
 
 func (s *session) recordSnapshot() {
@@ -457,17 +375,27 @@ func (s *session) recordSnapshot() {
 // conditional breakpoint. It returns cycles run and the breakpoint
 // description ("" if none fired). Reported errors are toolchain bugs, not
 // input problems: ctx expiry is a "timeout" stop, not an error.
-func (s *session) step(ctx context.Context, n uint64) (ran uint64, stopped string, err error) {
+func (s *session) step(ctx context.Context, n uint64) (uint64, string, error) {
+	resp, err := s.run(ctx, n)
+	return resp.Ran, resp.Stopped, err
+}
+
+// run is step, answering with the whole step response, taken under the
+// same hold of mu as the step itself.
+func (s *session) run(ctx context.Context, n uint64) (resp StepResponse, err error) {
 	defer diag.Guard("server: step", &err)
-	if err := s.gate(); err != nil {
-		return 0, "", err
+	if err := s.lock(); err != nil {
+		return resp, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.materializeLocked(); err != nil {
-		return 0, "", err
+		return resp, err
 	}
-	return s.stepLocked(ctx, n, nil)
+	resp.Ran, resp.Stopped, err = s.stepLocked(ctx, n, nil)
+	if err == nil {
+		resp.Cycle, resp.Fired = s.eng.CycleCount(), s.fired()
+	}
+	return resp, err
 }
 
 // stepLocked is step's body; observe, when non-nil, runs after every cycle
@@ -545,7 +473,7 @@ func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error
 // covered: the client chose that engine, so its death is a quarantine like
 // any other engine failure.
 func (s *session) nativeDownLocked() bool {
-	if !s.promoted {
+	if s.state().live() != phasePromoted {
 		return false
 	}
 	ne, ok := underlying(s.eng).(*native.Engine)
@@ -562,15 +490,12 @@ func (s *session) nativeDownLocked() bool {
 // engine left off is discarded and the session stays put (sticky, so a
 // lying binary is not retried every step).
 func (s *session) maybePromoteLocked() {
-	if s.promoted || s.noPromote || s.tier != "" || s.external ||
-		s.env.ncache == nil || s.env.promoteAfter == 0 || s.spec.Kind != "cuttlesim" {
-		return
-	}
-	if s.eng.CycleCount() < s.env.promoteAfter {
-		return
-	}
-	if !s.compileStarted {
-		s.compileStarted = true
+	switch s.state().live() {
+	case phaseCompiling:
+	case phaseEligible:
+		if s.eng.CycleCount() < s.env.promoteAfter || !s.startCompile() {
+			return
+		}
 		ncache, src, catalog := s.env.ncache, s.src, s.catalog
 		go func() {
 			// A fresh instance, not the live design: the emitter must not
@@ -588,44 +513,34 @@ func (s *session) maybePromoteLocked() {
 			s.compiled.Store(b)
 		}()
 		return
+	default:
+		return
 	}
 	b := s.compiled.Load()
 	if b == nil {
 		return // compile still running; keep interpreting
 	}
-	if b.err != nil {
-		s.noPromote = true
-		return
-	}
 	snapper, ok := s.eng.(sim.Snapshotter)
-	if !ok {
-		s.noPromote = true
+	if b.err != nil || !ok {
+		s.pin()
 		return
 	}
 	pre := sim.StateDigest(s.eng)
 	snap := snapper.Snapshot()
-	ne, err := native.Launch(b.design, b.res)
+	ne, err := s.env.ncache.Launch(b.design, b.res)
 	if err != nil {
 		s.env.ncache.Quarantine(b.res.Key, err)
-		s.noPromote = true
+		s.pin()
 		return
 	}
-	if err := ne.RestoreSnapshot(snap); err != nil {
+	if err := ne.RestoreSnapshot(snap); err != nil || sim.StateDigest(ne) != pre || ne.CycleCount() != snap.Cycle {
 		_ = ne.Close()
-		s.noPromote = true
+		s.pin()
 		return
 	}
-	if sim.StateDigest(ne) != pre || ne.CycleCount() != snap.Cycle {
-		_ = ne.Close()
-		s.noPromote = true
-		return
-	}
-	old := s.eng
+	closeEngine(s.eng)
 	s.eng = wrapEngine(ne, s.env.inj)
-	s.tier, s.promoted = "native", true
-	if c, ok := old.(interface{ Close() error }); ok {
-		_ = c.Close()
-	}
+	s.markPromoted()
 	if s.env.stats != nil {
 		s.env.stats.promotions.Add(1)
 	}
@@ -638,7 +553,7 @@ func (s *session) maybePromoteLocked() {
 // Demotion is sticky — the binary just crashed, so the session does not
 // try the native tier again.
 func (s *session) demoteLocked(ctx context.Context, target uint64) bool {
-	if !s.promoted {
+	if s.state().live() != phasePromoted {
 		return false
 	}
 	inst, err := buildInstance(s.src, s.catalog)
@@ -651,20 +566,15 @@ func (s *session) demoteLocked(ctx context.Context, target uint64) bool {
 	}
 	i := sort.Search(len(s.snaps), func(i int) bool { return s.snaps[i].Cycle > target }) - 1
 	if i < 0 {
-		if c, ok := eng.(interface{ Close() error }); ok {
-			_ = c.Close()
-		}
+		closeEngine(eng)
 		return false
 	}
 	eng = wrapEngine(eng, s.env.inj)
 	eng.(sim.Snapshotter).Restore(s.snaps[i])
 	s.snaps = s.snaps[:i+1]
-	old := s.eng
+	closeEngine(s.eng) // reaps the dead subprocess
 	s.eng = eng
-	s.tier, s.promoted, s.noPromote = "", false, true
-	if c, ok := old.(interface{ Close() error }); ok {
-		_ = c.Close() // reaps the dead subprocess
-	}
+	s.pin()
 	if target > s.eng.CycleCount() {
 		if _, err := sim.RunContext(ctx, s.eng, nil, target-s.eng.CycleCount()); err != nil {
 			return false
@@ -688,10 +598,9 @@ func (s *session) fired() map[string]bool {
 // regs applies a batched poke/peek request.
 func (s *session) regs(req RegsRequest) (_ RegsResponse, err error) {
 	defer diag.Guard("server: regs", &err)
-	if err := s.gate(); err != nil {
+	if err := s.lock(); err != nil {
 		return RegsResponse{}, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	d := s.design()
 	// Pokes and peeks work directly on a lazy fork's overlay: a poke dirties
@@ -742,10 +651,9 @@ func (s *session) regs(req RegsRequest) (_ RegsResponse, err error) {
 // setBreak installs or clears conditional breakpoints.
 func (s *session) setBreak(req BreakRequest) (err error) {
 	defer diag.Guard("server: break", &err)
-	if err := s.gate(); err != nil {
+	if err := s.lock(); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	if req.Clear {
 		s.conds = nil
@@ -784,10 +692,9 @@ func (s *session) rowLocked(row []uint64) []uint64 {
 // an on-disk home, so the server only offers it with a store.
 func (s *session) record(on bool, dir string, fsys faultinj.FS) (err error) {
 	defer diag.Guard("server: trace record", &err)
-	if err := s.gate(); err != nil {
+	if err := s.lock(); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !on {
 		if s.rec == nil {
@@ -872,23 +779,15 @@ func (s *session) rewindTraceLocked() error {
 }
 
 // traceFlush lands the recorder's buffered tail so a fresh Reader sees
-// every recorded row. A session that is not recording has nothing to flush.
-func (s *session) traceFlush() error {
-	if err := s.gate(); err != nil {
-		return err
+// every recorded row, and reports whether the session is recording.
+func (s *session) traceFlush() (recording bool) {
+	if s.lock() != nil {
+		return false
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rec == nil {
-		return nil
+	if s.rec != nil {
+		_ = s.rec.Flush()
 	}
-	return s.rec.Flush()
-}
-
-// recording reports whether the session is currently appending to a trace.
-func (s *session) recording() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.rec != nil
 }
 
@@ -897,48 +796,29 @@ func (s *session) recording() bool {
 // tier, whose binaries count attempts/commits/skips in the subprocess).
 // A promoted session's counters restart at the promotion point.
 func (s *session) profile() (ProfileResponse, error) {
-	if err := s.gate(); err != nil {
+	if err := s.lock(); err != nil {
 		return ProfileResponse{}, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.materializeLocked(); err != nil {
 		return ProfileResponse{}, err
 	}
+	resp := ProfileResponse{Cycle: s.eng.CycleCount()}
 	if ne, ok := underlying(s.eng).(*native.Engine); ok {
 		prof, err := ne.Profile()
-		if err != nil {
-			return ProfileResponse{}, err
-		}
-		resp := ProfileResponse{Cycle: s.eng.CycleCount()}
 		for _, st := range prof {
-			resp.Rules = append(resp.Rules, RuleProfile{
-				Rule: st.Rule, Attempts: st.Attempts, Commits: st.Commits, Skipped: st.Skips,
-			})
+			resp.Rules = append(resp.Rules, RuleProfile{Rule: st.Rule, Attempts: st.Attempts, Commits: st.Commits, Skipped: st.Skips})
 		}
-		return resp, nil
+		return resp, err
 	}
 	cs, ok := underlying(s.eng).(*cuttlesim.Simulator)
 	if !ok || cs.RuleStats() == nil {
 		return ProfileResponse{}, fmt.Errorf("engine %s does not keep rule profiles (use a cuttlesim or native session)", s.spec)
 	}
-	resp := ProfileResponse{Cycle: s.eng.CycleCount()}
 	for _, st := range cs.RuleStats() {
-		resp.Rules = append(resp.Rules, RuleProfile{
-			Rule: st.Rule, Attempts: st.Attempts, Commits: st.Commits, Skipped: st.Skipped,
-		})
+		resp.Rules = append(resp.Rules, RuleProfile{Rule: st.Rule, Attempts: st.Attempts, Commits: st.Commits, Skipped: st.Skipped})
 	}
 	return resp, nil
-}
-
-// snapshot captures the current state (durable sessions only).
-func (s *session) snapshot() (sim.Snapshot, error) {
-	if err := s.gate(); err != nil {
-		return sim.Snapshot{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked()
 }
 
 func (s *session) snapshotLocked() (sim.Snapshot, error) {
@@ -960,10 +840,9 @@ func (s *session) snapshotLocked() (sim.Snapshot, error) {
 // restoreSnapshot rewinds (or fast-forwards) the live engine to snap.
 func (s *session) restoreSnapshot(snap sim.Snapshot) (err error) {
 	defer diag.Guard("server: restore", &err)
-	if err := s.gate(); err != nil {
+	if err := s.lock(); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.durable() {
 		return errNotDurable
@@ -1001,10 +880,9 @@ func (s *session) restoreSnapshot(snap sim.Snapshot) (err error) {
 // (breakpoints suppressed during replay).
 func (s *session) reverse(ctx context.Context, n uint64) (err error) {
 	defer diag.Guard("server: reverse", &err)
-	if err := s.gate(); err != nil {
+	if err := s.lock(); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.durable() {
 		return errNotDurable
@@ -1038,9 +916,4 @@ func (s *session) reverse(ctx context.Context, n uint64) (err error) {
 		return fmt.Errorf("rewind replay stopped at cycle %d, want %d", got, target)
 	}
 	return nil
-}
-
-// values returns a copy of every register value (for trace diffing).
-func (s *session) valuesLocked() []bits.Bits {
-	return sim.StateOf(s.eng)
 }

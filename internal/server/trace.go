@@ -113,8 +113,7 @@ func (s *Server) traceHome(id string) (string, faultinj.FS, error) {
 // traceStatusFor summarizes a session's recording from disk (flushing the
 // live tail first so the answer includes every recorded row).
 func (s *Server) traceStatusFor(sess *session, dir string, fsys faultinj.FS) TraceStatus {
-	st := TraceStatus{Recording: sess.recording()}
-	_ = sess.traceFlush()
+	st := TraceStatus{Recording: sess.traceFlush()}
 	r, err := tracedb.Open(dir, fsys)
 	if err != nil {
 		return st
@@ -128,42 +127,24 @@ func (s *Server) traceStatusFor(sess *session, dir string, fsys faultinj.FS) Tra
 	return st
 }
 
-func (s *Server) handleTraceRecord(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req TraceRecordRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) traceRecordOp(r *http.Request, sess *session, req TraceRecordRequest) (TraceStatus, error) {
 	dir, fsys, err := s.traceHome(sess.id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := sess.record(req.Enable, dir, fsys); err != nil {
+	if err == nil {
+		err = sess.record(req.Enable, dir, fsys)
 		s.noteFailure(sess, err)
-		writeError(w, err)
-		return
 	}
-	writeJSON(w, http.StatusOK, s.traceStatusFor(sess, dir, fsys))
+	if err != nil {
+		return TraceStatus{}, err
+	}
+	return s.traceStatusOp(r, sess, struct{}{})
 }
 
-func (s *Server) handleTraceStatus(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) traceStatusOp(_ *http.Request, sess *session, _ struct{}) (TraceStatus, error) {
 	dir, fsys, err := s.traceHome(sess.id)
 	if err != nil {
-		writeError(w, err)
-		return
+		return TraceStatus{}, err
 	}
-	writeJSON(w, http.StatusOK, s.traceStatusFor(sess, dir, fsys))
+	return s.traceStatusFor(sess, dir, fsys), nil
 }
 
 // queryFromRequest normalizes the two request forms into one tracedb.Query.
@@ -200,84 +181,65 @@ func traceErr(err error) error {
 	return err
 }
 
-func (s *Server) handleTraceQuery(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req TraceQueryRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	q, err := queryFromRequest(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	dir, fsys, err := s.traceHome(sess.id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Gate before taking sess.mu: a wedged session's mu may be held forever.
-	if err := sess.gate(); err != nil {
-		writeError(w, err)
-		return
-	}
-	// The query runs under sess.mu: it never touches the engine, but holding
-	// the lock keeps a concurrent restore/reverse from rewriting chunk files
-	// under the reader mid-query.
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
+// openTraceLocked lands sess's buffered trace tail and opens the recording
+// in dir, so the reader sees every recorded row. Callers hold sess.mu,
+// which also keeps a concurrent restore/reverse from rewriting chunk files
+// under the reader.
+func openTraceLocked(sess *session, dir string, fsys faultinj.FS) (*tracedb.Reader, error) {
 	if sess.rec != nil {
 		if err := sess.rec.Flush(); err != nil {
-			writeError(w, httpError{http.StatusInternalServerError, fmt.Errorf("flush trace: %w", err)})
-			return
+			return nil, httpError{http.StatusInternalServerError, fmt.Errorf("flush trace: %w", err)}
 		}
 	}
 	rd, err := tracedb.Open(dir, fsys)
 	if err != nil {
-		writeError(w, traceErr(err))
-		return
+		return nil, traceErr(err)
 	}
-	res, err := rd.Query(sess.design(), q)
-	if err != nil {
-		writeError(w, traceErr(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, TraceQueryResponse{
-		Query:   q.String(),
-		Matched: res.Matched, Cycle: res.Cycle, Count: res.Count, Matches: res.Matches,
-		ChunksScanned: res.ChunksScanned, ChunksSkipped: res.ChunksSkipped, RowsEvaluated: res.RowsEvaluated,
-	})
+	return rd, nil
 }
 
-func (s *Server) handleTraceDiff(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
+func (s *Server) traceQueryOp(_ *http.Request, sess *session, req TraceQueryRequest) (TraceQueryResponse, error) {
+	q, err := queryFromRequest(req)
 	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var req TraceDiffRequest
-	if err := s.decode(w, r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Other == "" {
-		writeError(w, fmt.Errorf("trace diff needs the other session's id"))
-		return
+		return TraceQueryResponse{}, err
 	}
 	dir, fsys, err := s.traceHome(sess.id)
 	if err != nil {
-		writeError(w, err)
-		return
+		return TraceQueryResponse{}, err
+	}
+	// The query never touches the engine; it runs under sess.mu only for
+	// openTraceLocked's sake.
+	if err := sess.lock(); err != nil {
+		return TraceQueryResponse{}, err
+	}
+	defer sess.mu.Unlock()
+	rd, err := openTraceLocked(sess, dir, fsys)
+	if err != nil {
+		return TraceQueryResponse{}, err
+	}
+	res, err := rd.Query(sess.design(), q)
+	if err != nil {
+		return TraceQueryResponse{}, traceErr(err)
+	}
+	return TraceQueryResponse{
+		Query:   q.String(),
+		Matched: res.Matched, Cycle: res.Cycle, Count: res.Count, Matches: res.Matches,
+		ChunksScanned: res.ChunksScanned, ChunksSkipped: res.ChunksSkipped, RowsEvaluated: res.RowsEvaluated,
+	}, nil
+}
+
+func (s *Server) traceDiffOp(_ *http.Request, sess *session, req TraceDiffRequest) (TraceDiffResponse, error) {
+	resp := TraceDiffResponse{A: sess.id, B: req.Other}
+	if req.Other == "" {
+		return resp, fmt.Errorf("trace diff needs the other session's id")
+	}
+	dir, fsys, err := s.traceHome(sess.id)
+	if err != nil {
+		return resp, err
 	}
 	otherDir, _, err := s.traceHome(req.Other)
 	if err != nil {
-		writeError(w, err)
-		return
+		return resp, err
 	}
 	// The other session need not be live here (its recording in the shared
 	// store is enough), but when it is, flush its tail so the diff sees it.
@@ -285,55 +247,38 @@ func (s *Server) handleTraceDiff(w http.ResponseWriter, r *http.Request) {
 	other, live := s.sessions[req.Other]
 	s.mu.Unlock()
 	if live {
-		_ = other.traceFlush()
+		other.traceFlush()
 	}
-	if err := sess.gate(); err != nil {
-		writeError(w, err)
-		return
+	if err := sess.lock(); err != nil {
+		return resp, err
 	}
-	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.rec != nil {
-		if err := sess.rec.Flush(); err != nil {
-			writeError(w, httpError{http.StatusInternalServerError, fmt.Errorf("flush trace: %w", err)})
-			return
-		}
-	}
-	ra, err := tracedb.Open(dir, fsys)
+	ra, err := openTraceLocked(sess, dir, fsys)
 	if err != nil {
-		writeError(w, traceErr(err))
-		return
+		return resp, err
 	}
 	rb, err := tracedb.Open(otherDir, fsys)
 	if err != nil {
-		writeError(w, traceErr(fmt.Errorf("session %q: %w", req.Other, err)))
-		return
+		return resp, traceErr(fmt.Errorf("session %q: %w", req.Other, err))
 	}
-	resp := TraceDiffResponse{A: sess.id, B: req.Other}
 	cycle := uint64(0)
 	if req.Cycle != nil {
 		cycle = *req.Cycle
-		resp.Diverged, resp.Cycle = true, cycle // refined below from the entries
+		resp.Cycle = cycle
 	} else {
 		to := req.To
 		if to == 0 {
 			to = math.MaxUint64
 		}
 		cyc, diverged, err := tracedb.FirstDivergence(ra, rb, req.From, to)
-		if err != nil {
-			writeError(w, traceErr(err))
-			return
+		if err != nil || !diverged {
+			return resp, traceErr(err)
 		}
-		if !diverged {
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		resp.Diverged, resp.Cycle, cycle = true, cyc, cyc
+		resp.Cycle, cycle = cyc, cyc
 	}
 	entries, err := tracedb.DiffAt(ra, rb, cycle)
 	if err != nil {
-		writeError(w, traceErr(err))
-		return
+		return resp, traceErr(err)
 	}
 	for _, e := range entries {
 		resp.Entries = append(resp.Entries, TraceDiffEntry{
@@ -342,66 +287,46 @@ func (s *Server) handleTraceDiff(w http.ResponseWriter, r *http.Request) {
 			B:      FromBits(bits.New(e.Width, e.B)),
 		})
 	}
-	if req.Cycle != nil {
-		resp.Diverged = len(resp.Entries) > 0
-	}
-	writeJSON(w, http.StatusOK, resp)
+	// Against a given cycle the diff diverged when any signal differs; a
+	// located first divergence diverged by definition.
+	resp.Diverged = req.Cycle == nil || len(resp.Entries) > 0
+	return resp, nil
 }
 
-// handleTraceVCD re-emits a window of the recording as VCD, from the index
+// traceVCD re-emits a window of the recording as VCD, from the index
 // — no re-simulation, any recorded cycle range, byte-identical to what live
 // streaming of the same window would have produced.
-func (s *Server) handleTraceVCD(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.lookup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) traceVCD(w http.ResponseWriter, r *http.Request, sess *session) (err error) {
 	q := r.URL.Query()
 	from, to := uint64(0), uint64(math.MaxUint64)
 	if v := q.Get("from"); v != "" {
 		if from, err = strconv.ParseUint(v, 10, 64); err != nil {
-			writeError(w, fmt.Errorf("bad from cycle %q", v))
-			return
+			return fmt.Errorf("bad from cycle %q", v)
 		}
 	}
 	if v := q.Get("to"); v != "" {
 		if to, err = strconv.ParseUint(v, 10, 64); err != nil {
-			writeError(w, fmt.Errorf("bad to cycle %q", v))
-			return
+			return fmt.Errorf("bad to cycle %q", v)
 		}
 	}
 	dir, fsys, err := s.traceHome(sess.id)
 	if err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
-	if err := sess.gate(); err != nil {
-		writeError(w, err)
-		return
+	if err := sess.lock(); err != nil {
+		return err
 	}
-	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.rec != nil {
-		if err := sess.rec.Flush(); err != nil {
-			writeError(w, httpError{http.StatusInternalServerError, fmt.Errorf("flush trace: %w", err)})
-			return
-		}
-	}
-	rd, err := tracedb.Open(dir, fsys)
+	rd, err := openTraceLocked(sess, dir, fsys)
 	if err != nil {
-		writeError(w, traceErr(err))
-		return
+		return err
 	}
 	// The stream holds sess.mu; a stalled client must not pin the session
 	// forever, so the whole response gets one write budget.
 	rc := http.NewResponseController(w)
 	_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StepTimeout))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := rd.WriteVCD(w, from, to); err != nil {
-		// Nothing streamed yet on a window error (the header check runs
-		// before the first byte); after that the stream just ends.
-		writeError(w, traceErr(err))
-		return
-	}
+	// Nothing streamed yet on a window error (the header check runs before
+	// the first byte); after that the stream just ends.
+	return traceErr(rd.WriteVCD(w, from, to))
 }

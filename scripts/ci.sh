@@ -35,6 +35,13 @@ go test -race -run 'Parallel' ./internal/rtlsim ./internal/cuttlesim
 echo "== race: ksimd concurrent sessions"
 go test -race -run 'TestConcurrentSessions|TestSessionDurability|TestEviction|TestParallelEngineConfig' ./internal/server
 
+echo "== race: session lifecycle (retire, re-lookup, per-daemon subprocesses)"
+# Requests queued behind an eviction, release or export-release land on the
+# resurrected session; a deleted lazy fork builds no engine; an eviction
+# storm loses no acknowledged step; no request blocks on a wedged session;
+# closing one daemon reaps only its own native subprocesses.
+go test -race -run 'TestLifecycle' ./internal/server
+
 echo "== race: fault injection, robustness, client retries"
 # The whole fault-injection harness and the retrying client run under the
 # race detector, plus the server's failure-path tests: torn writes,
@@ -91,6 +98,11 @@ cuttlesim_bin="$(mktemp -d)/cuttlesim"
 go build -o "$cuttlesim_bin" ./cmd/cuttlesim
 set +e; "$cuttlesim_bin" -engine 'cuttlesim(static,foo)' -cycles 10 collatz >/dev/null 2>&1; rc=$?; set -e
 [ "$rc" -eq 1 ] || { echo "bad engine name exited $rc, want 1" >&2; exit 1; }
+
+echo "== perfbench unit tests (nested module)"
+# The end-to-end benchmark's own tests: quantiles, report schema, workload
+# gates. perfbench has its own go.mod, so the root go test skips it.
+(cd perfbench && go test ./...)
 
 echo "== bench smoke (Fig1, 100x)"
 go test -run='^$' -bench=Fig1 -benchtime=100x .
