@@ -7,9 +7,7 @@
 //	       [-cycles N] [-halt-budget N] [-full]
 //	       [-parallel N] [-timeout D] [-fuzz N] [-fuzz-base S] [-json PATH]
 //	       [-designs a,b] [-digest-check] [-cpuprofile PATH] [-memprofile PATH]
-//	       [-workers N] [-scaling]
 //	       [-engines native] [-compile-cache DIR]
-//	       [-serve-url URL] [-serve-batch N]
 //	       [-chaos URL | -chaos-verify URL] [-chaos-ledger PATH]
 //	       [-chaos-for D] [-chaos-sessions N] [-chaos-seed N]
 //	       [-swarm URL] [-swarm-sessions N] [-swarm-rate R] [-swarm-steps N]
@@ -30,17 +28,6 @@
 // reports what completed (the JSON file stays valid, marked incomplete),
 // and exits 1.
 //
-// -workers N adds the two parallel engines — conflict-free Cuttlesim rule
-// groups and BSP-sharded rtlsim levels — at that pool width to the -json
-// grid, with the same ns/cycle and digest columns as the sequential
-// engines. -scaling instead runs the full intra-design scaling sweep
-// (both parallel engines at widths 1/2/4/8 against the sequential
-// baselines, per design): a text table to stdout, and with -json the
-// cuttlego-scaling/v1 document (the BENCH_3.json generator). Scaling
-// cells are always measured one at a time so pooled engines never contend
-// with each other; -cpuprofile covers the worker pools either way, since
-// profiling starts before any engine is built.
-//
 // -engines native runs the AOT native-tier grid instead: each acceptance
 // design (rv32i and fft by default; -designs overrides) is compiled to a
 // standalone binary through the digest-keyed compile cache and timed as a
@@ -52,12 +39,6 @@
 // generator). -compile-cache DIR persists the cache between runs (cold
 // compile reads 0 on a pre-warmed cache); empty uses a throwaway directory,
 // giving honest cold numbers.
-//
-// -serve-url URL benchmarks a running ksimd daemon instead of the local
-// jobs: each self-driving catalogue design (or the -designs subset) runs
-// once in-process and once as a remote session stepped in -serve-batch
-// cycle chunks, reporting the RPC-path overhead; -json writes the
-// comparison and -digest-check fails on any local/remote state divergence.
 //
 // -chaos URL drives a ksimd daemon with a seeded crash-test workload —
 // random step batches over several durable sessions, frequent checkpoints —
@@ -120,8 +101,6 @@ func main() {
 		jsonPath = fs.String("json", "", "also write machine-readable timings to this file")
 		designs  = fs.String("designs", "", "comma-separated catalogue names restricting the -json grid")
 		digest   = fs.Bool("digest-check", false, "fail -json when engines disagree on a design's final state")
-		serveURL = fs.String("serve-url", "", "benchmark a running ksimd daemon at this URL against the in-process baseline")
-		serveB   = fs.Uint64("serve-batch", 10_000, "cycles per step RPC in -serve-url mode")
 		swarmURL = fs.String("swarm", "", "open-loop fleet load test against the ksimd daemon or router at this URL")
 		swarmN   = fs.Int("swarm-sessions", 48, "concurrent sessions created by -swarm")
 		swarmR   = fs.Float64("swarm-rate", 50, "session arrivals per second in -swarm mode")
@@ -136,8 +115,6 @@ func main() {
 		chaosFor = fs.Duration("chaos-for", 20*time.Second, "bound the -chaos run when the daemon survives")
 		chaosN   = fs.Int("chaos-sessions", 4, "concurrent sessions driven by -chaos")
 		chaosSd  = fs.Int64("chaos-seed", 1, "seed for the -chaos workload schedule")
-		workers  = fs.Int("workers", 0, "add the parallel engines at this pool width to the -json grid")
-		scaling  = fs.Bool("scaling", false, "run the intra-design scaling sweep (text to stdout; -json writes the scaling document)")
 		engines  = fs.String("engines", "", `extra execution tiers: "native" runs the AOT native-tier grid (text to stdout; -json writes the native document)`)
 		ccache   = fs.String("compile-cache", "", "AOT compile-cache directory for -engines native (empty = throwaway dir, honest cold-compile numbers)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the selected jobs to this file")
@@ -212,7 +189,6 @@ func main() {
 		}
 	}
 	opts.DigestCheck = *digest
-	opts.Workers = *workers
 
 	type job struct {
 		sel bool
@@ -232,7 +208,7 @@ func main() {
 		}},
 		{*verify, func() error { return bench.Conformance(os.Stdout, 1000, *parallel) }},
 	}
-	// -fuzz, -json, -serve-url, and the chaos modes are explicit-only jobs:
+	// -fuzz, -json, -swarm, -engines and the chaos modes are explicit-only jobs:
 	// they never run under the implicit -all, so the default invocation's
 	// output is unchanged.
 	if *chaosURL != "" {
@@ -244,13 +220,6 @@ func main() {
 	}
 	if *chaosVfy != "" {
 		if err := runChaosVerify(os.Stdout, *chaosVfy, *chaosLed); err != nil {
-			fail(err)
-		}
-		stopProfiles()
-		return
-	}
-	if *serveURL != "" {
-		if err := runServe(ctx, os.Stdout, *serveURL, opts, *serveB, *jsonPath, *digest); err != nil {
 			fail(err)
 		}
 		stopProfiles()
@@ -292,31 +261,6 @@ func main() {
 				fail(err)
 			}
 			werr := bench.EncodeNative(f, rep)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fail(fmt.Errorf("%s: %w", *jsonPath, werr))
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
-		if merr != nil {
-			fail(merr)
-		}
-		stopProfiles()
-		return
-	}
-	if *scaling {
-		// Measure once, render twice: the sweep can take minutes at -full
-		// budgets.
-		rep, merr := bench.MeasureScaling(ctx, opts)
-		bench.RenderScaling(os.Stdout, rep)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fail(err)
-			}
-			werr := bench.EncodeScaling(f, rep)
 			if cerr := f.Close(); werr == nil {
 				werr = cerr
 			}

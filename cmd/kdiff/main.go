@@ -14,11 +14,6 @@
 // design name or a .koika file run once through the matrix — the replay mode
 // the header of every reproducer file points at.
 //
-// The default -engines matrix includes "parallel": the pooled engines
-// (conflict-free Cuttlesim rule groups on both backends, BSP-sharded
-// rtlsim) at pool widths 2 and 4, which must stay in lockstep with the
-// interpreter like every sequential engine.
-//
 // Exit codes: 0 when all runs agree, 1 when a divergence was found (inverted
 // by -expect-bug, which is how CI asserts the injected msi-buggy deadlock
 // stays detectable), 2 on internal errors.
@@ -43,7 +38,7 @@ func main() {
 	seed := fs.Int64("seed", 1, "first generator seed")
 	count := fs.Int("count", 100, "number of consecutive seeds to sweep")
 	cycles := fs.Uint64("cycles", 200, "lockstep window in cycles")
-	engines := fs.String("engines", "cuttlesim,rtlsim,parallel", "engine matrix: comma list of cuttlesim, rtlsim, parallel (pooled engines at widths 2 and 4), gomodel, native, or all")
+	engines := fs.String("engines", "cuttlesim,rtlsim", "engine matrix: comma list of cuttlesim, rtlsim, gomodel, native, single engine names, or all")
 	shrink := fs.Bool("shrink", true, "shrink failures to a minimal reproducer")
 	outDir := fs.String("o", ".", "directory for reproducer .koika files")
 	progress := fs.String("progress", "", "comma list of progress registers for the deadlock oracle")

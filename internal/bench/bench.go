@@ -249,14 +249,11 @@ func StateStress(nregs, nrules int) *ast.Design {
 	return d
 }
 
-// ParallelStress builds the intra-design parallelism stress benchmark:
-// nrules completely independent heavy rules, each folding a long dependent
-// operation chain (depth let-bound steps of multiply/xor/add) over its own
-// private pair of registers. The conflict graph is edgeless, so the
-// parallel Cuttlesim engine runs all rules in one wave, and the per-rule
-// work is deep enough that striping the wave across cores dominates the
-// barrier — the regime the conflict-group machinery targets, complementing
-// the wide-level regime fft64 provides for the BSP rtlsim backend.
+// ParallelStress builds the pstress benchmark: nrules completely
+// independent heavy rules, each folding a long dependent operation chain
+// (depth let-bound steps of multiply/xor/add) over its own private pair of
+// registers, so its rule-conflict graph is edgeless. The catalogue keeps it
+// because stored session recipes may name it.
 func ParallelStress(nrules, depth int) *ast.Design {
 	d := ast.NewDesign(fmt.Sprintf("pstress%d", nrules))
 	for r := 0; r < nrules; r++ {
@@ -364,9 +361,8 @@ func Measure(bm Benchmark, eng Engine, cycles uint64) (Measurement, error) {
 		Elapsed: elapsed, Digest: sim.StateDigest(e)}, nil
 }
 
-// closeEngine releases engines that own resources (the parallel backends'
-// worker pools); harness code builds engines in bulk, so relying on
-// finalizers alone would accumulate idle goroutines.
+// closeEngine releases engines that own resources (the native tier's
+// subprocess); harness code builds engines in bulk.
 func closeEngine(e sim.Engine) {
 	if c, ok := e.(interface{ Close() error }); ok {
 		c.Close()

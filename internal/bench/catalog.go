@@ -35,7 +35,7 @@ func Extras() []Benchmark {
 		},
 		{
 			Name:        "fft64",
-			Description: "64-point FFT butterfly network (wide levels for the BSP rtlsim backend)",
+			Description: "64-point FFT butterfly network (wide netlist levels)",
 			Workload:    "input feedback rule perturbing the butterfly inputs",
 			New: func() Instance {
 				return Instance{Design: FFTBench(64).MustCheck()}

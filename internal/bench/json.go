@@ -37,20 +37,11 @@ type JSONReport struct {
 // jsonEngines is the engine set the JSON trajectory tracks: the paper's
 // two headline pipelines plus the strengthened (netopt + fused) baseline
 // and the switch interpreter as the floor. The activity ablation runs both
-// Cuttlesim backends with and without activity-driven scheduling. With
-// opts.Workers > 1 the grid gains both parallel engines at that pool
-// width, so their ns/cycle rides the same trajectory (and the digest gate)
-// as the sequential engines.
-func jsonEngines(opts Options) []Engine {
-	names := []string{"cuttlesim(static,closure)", "cuttlesim(static,bytecode)",
+// Cuttlesim backends with and without activity-driven scheduling.
+func jsonEngines() []Engine {
+	return engines("cuttlesim(static,closure)", "cuttlesim(static,bytecode)",
 		"cuttlesim(activity,closure)", "cuttlesim(activity,bytecode)",
-		"rtlsim(koika,closure)", "rtlsim(koika,switch)", "rtlsim(koika,fused,opt)"}
-	if opts.Workers > 1 {
-		names = append(names,
-			fmt.Sprintf("cuttlesim-par(closure,w%d)", opts.Workers),
-			fmt.Sprintf("rtlsim-par(koika,opt,w%d)", opts.Workers))
-	}
-	return engines(names...)
+		"rtlsim(koika,closure)", "rtlsim(koika,switch)", "rtlsim(koika,fused,opt)")
 }
 
 // WriteJSON measures every Table 1 benchmark against the tracked engine
@@ -80,7 +71,7 @@ func WriteJSONCtx(ctx context.Context, w io.Writer, opts Options, workers int) e
 	}
 	var cells []cell
 	for _, bm := range suite {
-		for _, eng := range jsonEngines(opts) {
+		for _, eng := range jsonEngines() {
 			cells = append(cells, cell{bm, eng})
 		}
 	}

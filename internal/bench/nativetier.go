@@ -4,8 +4,7 @@
 // when promoting a hot session to the native tier pays off. The JSON form
 // is the BENCH_4 artifact; the text form is kbench -compile-cache output.
 //
-// As with the scaling report (BENCH_3), cells are measured sequentially and
-// the report records GOMAXPROCS and NumCPU: on a one-core host the native
+// Cells are measured sequentially and the report records GOMAXPROCS and NumCPU: on a one-core host the native
 // subprocess and the supervisor share the core, so native wins look smaller
 // than they are on real hardware. The toolchain version is recorded because
 // the compile latencies are a property of the go compiler as much as of the

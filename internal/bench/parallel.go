@@ -98,9 +98,7 @@ func RunParallelCtx[T any](ctx context.Context, n, workers int, job func(i int) 
 // FuzzOne runs one randomized design (testkit.Random seed) across the
 // in-process engine matrix (engine.InProcess, the one kdiff checks) for n
 // cycles in lockstep, returning the first divergence from the reference
-// interpreter (or nil). Pooled engines build with MinGrain 1 so even the
-// tiny random designs fan out onto their pools rather than degenerating to
-// the sequential path.
+// interpreter (or nil).
 func FuzzOne(seed int64, cycles uint64) error {
 	build := func() *ast.Design { return testkit.Random(seed).MustCheck() }
 	ref, err := interp.New(build())
@@ -118,7 +116,7 @@ func FuzzOne(seed int64, cycles uint64) error {
 		}
 	}()
 	for _, spec := range engine.InProcess() {
-		e, err := spec.Build(build(), nil, nil, engine.Instrument{MinGrain: 1})
+		e, err := spec.Build(build(), nil, nil, engine.Instrument{})
 		if err != nil {
 			return fmt.Errorf("seed %d: %s: %w", seed, spec, err)
 		}

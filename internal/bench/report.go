@@ -23,9 +23,6 @@ type Options struct {
 	// DigestCheck makes the JSON export fail when two engines that ran the
 	// same design disagree on the final state digest — the CI smoke gate.
 	DigestCheck bool
-	// Workers, when > 1, adds the parallel engines (conflict-free Cuttlesim
-	// rule groups, BSP-sharded rtlsim) at that pool width to the JSON grid.
-	Workers int
 }
 
 // selectBenchmarks resolves the Designs filter against the catalogue; an

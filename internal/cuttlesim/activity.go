@@ -64,7 +64,7 @@ type activity struct {
 // (hook, coverage) is attached, since skipping a rule would hide the
 // attempt those observers are owed.
 func newActivity(d *ast.Design, an *analysis.Result, opts Options) *activity {
-	if opts.Level < LActivity || opts.Hook != nil || opts.Coverage || opts.Workers > 1 {
+	if opts.Level < LActivity || opts.Hook != nil || opts.Coverage {
 		return nil
 	}
 	sched := d.ScheduledRules()

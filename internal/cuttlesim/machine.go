@@ -59,17 +59,6 @@ type machine struct {
 	clearWhole  bool // tracked set is dense: memclr beats the index loop
 	commits     []commitPlan
 
-	// Parallel-mode bookkeeping (see parallel.go). In parallel mode the
-	// cycle log (flagsL/dL*/boc) is shared between machine clones while the
-	// accumulated log (flagsA/dA*) is private, the between-rules invariant
-	// "accumulated == cycle log" is replaced by an explicit per-rule
-	// footprint sync (syncRule), commit plans never use the whole-log
-	// fallback, and read-only flag effects are accumulated in rdAcc for the
-	// coordinator's deterministic merge instead of being written to the
-	// shared flagsL by the executing machine.
-	parallel bool
-	rdAcc    []uint8
-
 	// LActivity bookkeeping (nil below LActivity or under observers).
 	act *activity
 
@@ -90,24 +79,11 @@ type machine struct {
 // commitPlan is the per-scheduled-rule footprint: which registers' flags
 // and data a commit or rollback must copy. Full selects the whole-log
 // memcpy fallback the paper uses for rules touching most of the design.
-//
-// In parallel mode (never full) the roles shift: flagRegs holds only the
-// tracked registers the rule may WRITE — the registers whose shared
-// flagsL bytes the executing machine may safely update, since no other
-// rule of the same wave touches them — while rdFlagRegs holds the tracked
-// registers the rule may only rd1; their fRd1 effects go through rdAcc
-// and the coordinator's serial merge. syncFlagRegs/syncRegs list what
-// syncRule must refresh from the shared cycle log before the rule runs.
 type commitPlan struct {
 	full      bool
 	flagRegs  []int // tracked registers in the rule's footprint
 	dataRegs  []int // registers in the rule's write set
 	data1Regs []int // Goldberg registers in the write set
-
-	// Parallel mode only.
-	syncFlagRegs []int // tracked footprint: flagsA refreshed from flagsL
-	syncRegs     []int // footprint: dA0 refreshed from dL0
-	rdFlagRegs   []int // tracked footprint minus write set
 }
 
 func newMachine(d *ast.Design, an *analysis.Result, opts Options) *machine {
@@ -149,10 +125,6 @@ func newMachine(d *ast.Design, an *analysis.Result, opts Options) *machine {
 	}
 
 	if m.level >= LStatic {
-		m.parallel = opts.Workers > 1
-		if m.parallel {
-			m.rdAcc = make([]uint8, n)
-		}
 		m.track = make([]bool, n)
 		for r := range an.Regs {
 			if !an.Regs[r].Safe || an.Regs[r].Goldberg {
@@ -171,33 +143,6 @@ func newMachine(d *ast.Design, an *analysis.Result, opts Options) *machine {
 }
 
 func (m *machine) planCommit(info *analysis.RuleInfo) commitPlan {
-	if m.parallel {
-		// No whole-log fallback: a full copy of the shared cycle log would
-		// trample wave-mates' concurrent commits, and a full accumulated-log
-		// restore is replaced by the per-rule footprint sync anyway.
-		p := commitPlan{}
-		writes := make(map[int]bool, len(info.WriteSet))
-		for _, r := range info.WriteSet {
-			writes[r] = true
-			p.dataRegs = append(p.dataRegs, r)
-			if m.goldberg[r] {
-				p.data1Regs = append(p.data1Regs, r)
-			}
-			if m.track[r] {
-				p.flagRegs = append(p.flagRegs, r)
-			}
-		}
-		for _, r := range info.Footprint {
-			p.syncRegs = append(p.syncRegs, r)
-			if m.track[r] {
-				p.syncFlagRegs = append(p.syncFlagRegs, r)
-				if !writes[r] {
-					p.rdFlagRegs = append(p.rdFlagRegs, r)
-				}
-			}
-		}
-		return p
-	}
 	limit := m.nregs / 2
 	if limit < 32 {
 		limit = 32
@@ -218,69 +163,6 @@ func (m *machine) planCommit(info *analysis.RuleInfo) commitPlan {
 		}
 	}
 	return p
-}
-
-// syncRule refreshes the machine's private accumulated log from the shared
-// cycle log over one rule's footprint: the parallel-mode replacement for
-// the sequential invariant that the accumulated log tracks the cycle log
-// between rules. After it returns, every register the rule may touch reads
-// as if beginRule's invariant held, regardless of what other machines
-// committed since this machine last ran.
-func (m *machine) syncRule(si int) {
-	p := &m.commits[si]
-	for _, r := range p.syncFlagRegs {
-		m.flagsA[r] = m.flagsL[r]
-	}
-	for _, r := range p.syncRegs {
-		m.dA0[r] = m.dL0[r]
-	}
-	for _, r := range p.data1Regs {
-		m.dA1[r] = m.dL1[r]
-	}
-}
-
-// accumulateReadFlags records the rule's effects on read-only tracked
-// registers (fRd1 marks) into the machine-private rdAcc, to be merged into
-// the shared flagsL serially by the coordinator: wave-mates may share rd1
-// registers, so the executing machine cannot update flagsL itself without
-// racing. Call only after the rule at si committed.
-func (m *machine) accumulateReadFlags(si int) {
-	for _, r := range m.commits[si].rdFlagRegs {
-		m.rdAcc[r] |= m.flagsA[r]
-	}
-}
-
-// mergeReadFlags folds the executing machine's accumulated read-only flag
-// effects for the committed rule at si into the shared cycle log, clearing
-// the accumulator. Coordinator-only, after the wave barrier, in schedule
-// order — the merge is an idempotent OR, so order among wave-mates does
-// not matter, but determinism is free this way.
-func (m *machine) mergeReadFlags(si int, from *machine) {
-	for _, r := range m.commits[si].rdFlagRegs {
-		m.flagsL[r] |= from.rdAcc[r]
-		from.rdAcc[r] = 0
-	}
-}
-
-// workerClone builds a machine sharing this machine's committed state (the
-// cycle log: flagsL, dL0/dL1, boc) and static plans, with private copies of
-// the accumulated log (flagsA, dA0/dA1), locals, stack, and abort state.
-// Clones never run activity scheduling or coverage and never touch fired
-// or the cycle counter; the primary machine owns those.
-func (m *machine) workerClone() *machine {
-	w := *m
-	w.flagsA = append([]uint8(nil), m.flagsA...)
-	w.dA0 = append([]uint64(nil), m.dA0...)
-	if m.dA1 != nil {
-		w.dA1 = append([]uint64(nil), m.dA1...)
-	}
-	w.rdAcc = make([]uint8, m.nregs)
-	w.locals = make([]uint64, len(m.locals))
-	w.stack = make([]uint64, len(m.stack))
-	w.fired = nil
-	w.act = nil
-	w.cov = nil
-	return &w
 }
 
 // --- port operations -----------------------------------------------------

@@ -134,25 +134,6 @@ type Options struct {
 	// Hook, when non-nil, receives execution events. Compiling with a hook
 	// (or coverage) costs performance; benchmarks leave both off.
 	Hook Hook
-
-	// Workers > 1 selects the parallel engine (see parallel.go): the
-	// schedule is partitioned into waves of statically non-conflicting
-	// rules (analysis.ConflictGroups) and each wave's rules execute
-	// concurrently on per-worker machine clones sharing the committed
-	// state, with a deterministic schedule-order merge per wave. The
-	// result is observably identical, cycle for cycle, to the sequential
-	// engine at the same level. Requires Level >= LStatic and no Hook or
-	// Coverage (activity scheduling is disabled). Workers of 0 or 1 is
-	// the plain sequential engine. Pools far wider than the machine are
-	// clamped (to 8×GOMAXPROCS, min 8). Parallel simulators own
-	// goroutines: call Close when done (a finalizer backstops leaks).
-	Workers int
-
-	// MinGrain is the minimum per-rule cost (in AST nodes) for a rule to
-	// count as heavy; a wave fans out to the pool only when it holds at
-	// least two heavy rules. 0 means DefaultRuleGrain. Tests use 1 to
-	// force fan-out on tiny designs.
-	MinGrain int
 }
 
 // DefaultOptions is the full paper configuration.

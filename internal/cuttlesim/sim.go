@@ -2,7 +2,6 @@ package cuttlesim
 
 import (
 	"fmt"
-	"runtime"
 
 	"cuttlego/internal/analysis"
 	"cuttlego/internal/ast"
@@ -23,7 +22,6 @@ type Simulator struct {
 	bytecode []ruleCode
 	warnings []string
 	profile  []RuleStat
-	par      *parEngine // parallel engine: wave plan + worker pool
 }
 
 var _ sim.Engine = (*Simulator)(nil)
@@ -52,9 +50,6 @@ func New(d *ast.Design, opts Options) (_ *Simulator, err error) {
 	}
 	if opts.Hook != nil && opts.Backend != Closure {
 		return nil, fmt.Errorf("cuttlesim: debug hooks require the closure backend")
-	}
-	if err := validateParallel(opts); err != nil {
-		return nil, err
 	}
 	s := &Simulator{d: d, an: an, opts: opts, sched: d.ScheduledRules()}
 	s.m = newMachine(d, an, opts)
@@ -89,13 +84,6 @@ func New(d *ast.Design, opts Options) (_ *Simulator, err error) {
 		}
 		s.m.locals = make([]uint64, asm.maxSlots)
 		s.m.stack = make([]uint64, asm.maxStack+1)
-	}
-	if opts.Workers > 1 {
-		s.par = newParEngine(s, opts.Workers, opts.MinGrain)
-		if s.par.chans != nil {
-			par := s.par
-			runtime.SetFinalizer(s, func(*Simulator) { par.shutdown() })
-		}
 	}
 	return s, nil
 }
@@ -147,10 +135,6 @@ func (s *Simulator) RuleFired(rule string) bool { return s.m.fired[s.d.RuleIndex
 // read set is clean; see activity.go for the protocol and its soundness
 // argument.
 func (s *Simulator) Cycle() {
-	if s.par != nil {
-		s.cycleParallel()
-		return
-	}
 	m := s.m
 	act := m.act
 	hook := s.opts.Hook

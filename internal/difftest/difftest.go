@@ -133,8 +133,8 @@ func Run(build func() *ast.Design, opts Options) *Failure {
 		eng  sim.Engine
 	}
 	var engines []runner
-	// Pooled engines (Workers > 1) hold worker goroutines; release them on
-	// every exit path so fuzzing and shrinking don't accumulate pools.
+	// Native engines hold a subprocess; release it on every exit path so
+	// fuzzing and shrinking don't accumulate them.
 	defer func() {
 		for _, p := range engines {
 			if c, ok := p.eng.(interface{ Close() error }); ok {

@@ -35,9 +35,7 @@ type Spec struct {
 }
 
 // registrySpec wraps a registry engine for the lockstep matrix: profiling
-// on, so the profile oracle has data, and MinGrain 1, so even the small
-// differential designs fan out onto pooled engines' workers instead of
-// degenerating to the sequential path.
+// on, so the profile oracle has data.
 func registrySpec(e engine.Spec) Spec {
 	if e.Kind == "native" {
 		return NativeSpec()
@@ -45,7 +43,7 @@ func registrySpec(e engine.Spec) Spec {
 	return Spec{
 		Name: e.String(),
 		Make: func(d *ast.Design) (sim.Engine, error) {
-			return e.Build(d, nil, nil, engine.Instrument{Profile: true, MinGrain: 1})
+			return e.Build(d, nil, nil, engine.Instrument{Profile: true})
 		},
 	}
 }
@@ -146,7 +144,7 @@ func NativeSpec() Spec {
 }
 
 // Matrix resolves a comma-separated engine list to specs: the registry
-// groups cuttlesim, rtlsim and parallel (engine.Group), native, gomodel,
+// groups cuttlesim and rtlsim (engine.Group), native, gomodel,
 // or all of them. The reference interpreter is always part of a run and
 // never needs listing.
 func Matrix(names string) ([]Spec, error) {

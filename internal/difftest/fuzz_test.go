@@ -1,15 +1,10 @@
 package difftest
 
 import (
-	"fmt"
 	"testing"
 
 	"cuttlego/internal/ast"
-	"cuttlego/internal/circuit"
-	"cuttlego/internal/cuttlesim"
 	"cuttlego/internal/lang"
-	"cuttlego/internal/rtlsim"
-	"cuttlego/internal/sim"
 )
 
 // FuzzDifftest is the native-fuzzing face of the tentpole: the fuzzer picks
@@ -41,63 +36,6 @@ func FuzzDifftest(f *testing.F) {
 		opts := Options{Engines: InProcess(), Cycles: cycles%48 + 1, Profile: true}
 		if fail := Run(build, opts); fail != nil {
 			t.Fatalf("seed %d cycles %d: %v\n%s", seed, opts.Cycles, fail, d.Print().Text())
-		}
-	})
-}
-
-// FuzzParallelLockstep points the fuzzer squarely at the pooled engines:
-// the fuzzer picks the pool width as well as the design seed, and both
-// parallel tiers (conflict-free Cuttlesim rule groups on each backend,
-// BSP-sharded rtlsim) must match the reference interpreter cycle-for-cycle
-// at that width. MinGrain 1 forces every generated design to actually fan
-// out. Run under -race this is the strongest evidence the wave execution
-// is deterministic and data-race free on adversarial designs.
-func FuzzParallelLockstep(f *testing.F) {
-	f.Add(int64(1), uint64(8), uint8(2))
-	f.Add(int64(7), uint64(32), uint8(4))
-	f.Add(int64(1234), uint64(3), uint8(8))
-	f.Add(int64(-99), uint64(17), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, cycles uint64, workers uint8) {
-		w := int(workers%8) + 1
-		d := Generate(seed)
-		build := func() *ast.Design {
-			c := d.Clone()
-			c.MustCheck()
-			return c
-		}
-		specs := []Spec{
-			{
-				Name: fmt.Sprintf("cuttlesim-par(closure,w%d)", w),
-				Make: func(d *ast.Design) (sim.Engine, error) {
-					return cuttlesim.New(d, cuttlesim.Options{
-						Level: cuttlesim.LStatic, Backend: cuttlesim.Closure,
-						Profile: true, Workers: w, MinGrain: 1,
-					})
-				},
-			},
-			{
-				Name: fmt.Sprintf("cuttlesim-par(bytecode,w%d)", w),
-				Make: func(d *ast.Design) (sim.Engine, error) {
-					return cuttlesim.New(d, cuttlesim.Options{
-						Level: cuttlesim.LStatic, Backend: cuttlesim.Bytecode,
-						Profile: true, Workers: w, MinGrain: 1,
-					})
-				},
-			},
-			{
-				Name: fmt.Sprintf("rtlsim-par(koika,w%d)", w),
-				Make: func(d *ast.Design) (sim.Engine, error) {
-					ckt, err := circuit.Compile(d, circuit.StyleKoika)
-					if err != nil {
-						return nil, err
-					}
-					return rtlsim.New(ckt, rtlsim.Options{Backend: rtlsim.Fused, Workers: w, MinGrain: 1})
-				},
-			},
-		}
-		opts := Options{Engines: specs, Cycles: cycles%48 + 1, Profile: true}
-		if fail := Run(build, opts); fail != nil {
-			t.Fatalf("seed %d cycles %d workers %d: %v\n%s", seed, opts.Cycles, w, fail, d.Print().Text())
 		}
 	})
 }

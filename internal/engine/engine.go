@@ -5,17 +5,15 @@
 // same engine in every other tool. The grammar:
 //
 //	cuttlesim(<level>,<backend>)
-//	cuttlesim-par([<level>,]<backend>,w<N>)  level written only when not static
-//	rtlsim(<style>,<backend>[,opt])          opt: netopt the netlist first
-//	rtlsim-par(<style>[,opt],w<N>)           always the fused backend
+//	rtlsim(<style>,<backend>[,opt])  opt: netopt the netlist first
 //	interp
 //	native
 //
 // Each configuration has exactly one name: Parse rejects every other
 // spelling and String prints it back byte-identical. Slot values are the
-// engine packages' own enum names. Combination rules (a pooled Cuttlesim
-// needs level static or above, a debug hook excludes pools) live in
-// cuttlesim.New and rtlsim.New; Build surfaces their errors.
+// engine packages' own enum names. Combination rules (a debug hook needs
+// the closure backend) live in cuttlesim.New and rtlsim.New; Build
+// surfaces their errors.
 package engine
 
 import (
@@ -41,7 +39,6 @@ type Spec struct {
 	Backend  string // cuttlesim.Backend or rtlsim.Backend name
 	Style    string // rtlsim netlist style: circuit.Style name
 	Optimize bool   // rtlsim: run netopt over the netlist
-	Workers  int    // >= 1: the pooled ("-par") engine at that width
 }
 
 // Instrument carries the build options that are not part of an engine's
@@ -49,7 +46,6 @@ type Spec struct {
 type Instrument struct {
 	Profile, Coverage bool           // cuttlesim per-rule and per-node counters
 	Hook              cuttlesim.Hook // cuttlesim execution events (the debugger)
-	MinGrain          int            // pooled engines' fan-out threshold; tests use 1
 }
 
 var (
@@ -80,12 +76,11 @@ func join[T fmt.Stringer](all []T) string {
 // Usage lists the grammar and the values of each slot; every Parse error
 // ends with it.
 func Usage() string {
-	return "engine names: cuttlesim(<level>,<backend>), cuttlesim-par([<level>,]<backend>,w<N>), " +
-		"rtlsim(<style>,<backend>[,opt]), rtlsim-par(<style>[,opt],w<N>), interp, native\n" +
-		"  cuttlesim level: " + join(cuttlesim.Levels()) + " (cuttlesim-par: static unless written)\n" +
+	return "engine names: cuttlesim(<level>,<backend>), rtlsim(<style>,<backend>[,opt]), interp, native\n" +
+		"  cuttlesim level: " + join(cuttlesim.Levels()) + "\n" +
 		"  cuttlesim backend: " + join(cuttlesimBackends) + "\n" +
 		"  rtlsim style: " + join(styles) + "\n" +
-		"  rtlsim backend: " + join(rtlsimBackends) + " (rtlsim-par: always fused)"
+		"  rtlsim backend: " + join(rtlsimBackends)
 }
 
 // Parse resolves a canonical engine name.
@@ -124,31 +119,15 @@ func parse(name string) (Spec, error) {
 	if hasArgs {
 		args = strings.Split(inner, ",")
 	}
-	s := Spec{Kind: strings.TrimSuffix(head, "-par")}
-	if s.Kind != head {
-		if len(args) > 0 {
-			// A width that does not scan leaves Workers at 0, refused below;
-			// the canonical-spelling check refuses "w01" and "w4x".
-			fmt.Sscanf(args[len(args)-1], "w%d", &s.Workers)
-			args = args[:len(args)-1]
-		}
-		if s.Workers < 1 {
-			return Spec{}, fmt.Errorf("%s wants a pool width w<N>, N >= 1, as its last argument", head)
-		}
-	}
+	s := Spec{Kind: head}
 	if n := len(args); s.Kind == "rtlsim" && n > 0 && args[n-1] == "opt" {
 		s.Optimize, args = true, args[:n-1]
 	}
-	pooled := s.Workers > 0
 	switch {
 	case s.Kind == "cuttlesim" && len(args) == 2:
 		s.Level, s.Backend = args[0], args[1]
-	case s.Kind == "cuttlesim" && pooled && len(args) == 1:
-		s.Level, s.Backend = cuttlesim.LStatic.String(), args[0]
-	case s.Kind == "rtlsim" && !pooled && len(args) == 2:
+	case s.Kind == "rtlsim" && len(args) == 2:
 		s.Style, s.Backend = args[0], args[1]
-	case s.Kind == "rtlsim" && pooled && len(args) == 1:
-		s.Style, s.Backend = args[0], rtlsim.Fused.String()
 	case (s.Kind == "interp" || s.Kind == "native") && !hasArgs:
 	case s.Kind == "cuttlesim" || s.Kind == "rtlsim" || s.Kind == "interp" || s.Kind == "native":
 		return Spec{}, fmt.Errorf("wrong arguments for %s", head)
@@ -164,26 +143,17 @@ func (s Spec) String() string {
 	if s.Optimize {
 		opt = ",opt"
 	}
-	switch {
-	case s.Kind == "cuttlesim" && s.Workers == 0:
+	switch s.Kind {
+	case "cuttlesim":
 		return fmt.Sprintf("cuttlesim(%s,%s)", s.Level, s.Backend)
-	case s.Kind == "cuttlesim" && s.Level == cuttlesim.LStatic.String():
-		return fmt.Sprintf("cuttlesim-par(%s,w%d)", s.Backend, s.Workers)
-	case s.Kind == "cuttlesim":
-		return fmt.Sprintf("cuttlesim-par(%s,%s,w%d)", s.Level, s.Backend, s.Workers)
-	case s.Kind == "rtlsim" && s.Workers == 0:
+	case "rtlsim":
 		return fmt.Sprintf("rtlsim(%s,%s%s)", s.Style, s.Backend, opt)
-	case s.Kind == "rtlsim":
-		return fmt.Sprintf("rtlsim-par(%s%s,w%d)", s.Style, opt, s.Workers)
 	}
 	return s.Kind
 }
 
 // Validate checks every field against the values its engine knows.
 func (s Spec) Validate() error {
-	if s.Workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", s.Workers)
-	}
 	bad := func(slot, v string) error { return fmt.Errorf("unknown %s %s %q", s.Kind, slot, v) }
 	switch s.Kind {
 	case "cuttlesim":
@@ -206,12 +176,9 @@ func (s Spec) Validate() error {
 		if _, ok := lookup(s.Backend, rtlsimBackends); !ok {
 			return bad("backend", s.Backend)
 		}
-		if s.Workers > 0 && s.Backend != rtlsim.Fused.String() {
-			return fmt.Errorf("pooled rtlsim runs the fused backend, got %q", s.Backend)
-		}
 	case "interp", "native":
 		if s != (Spec{Kind: s.Kind}) {
-			return fmt.Errorf("%s has no levels, backends, styles, netopt or worker pools", s.Kind)
+			return fmt.Errorf("%s has no levels, backends, styles or netopt", s.Kind)
 		}
 	default:
 		return fmt.Errorf("unknown engine %q", s.Kind)
@@ -244,13 +211,12 @@ func (s Spec) Build(d *ast.Design, b *gomodel.Bindings, c *native.Cache, in Inst
 			ckt = netopt.MustOptimize(ckt)
 		}
 		backend, _ := lookup(s.Backend, rtlsimBackends)
-		return engineOf(rtlsim.New(ckt, rtlsim.Options{Backend: backend, Workers: s.Workers, MinGrain: in.MinGrain}))
+		return engineOf(rtlsim.New(ckt, rtlsim.Options{Backend: backend}))
 	}
 	level, _ := lookup(s.Level, cuttlesim.Levels())
 	backend, _ := lookup(s.Backend, cuttlesimBackends)
 	return engineOf(cuttlesim.New(d, cuttlesim.Options{
-		Level: level, Backend: backend, Workers: s.Workers, MinGrain: in.MinGrain,
-		Profile: in.Profile, Coverage: in.Coverage, Hook: in.Hook,
+		Level: level, Backend: backend, Profile: in.Profile, Coverage: in.Coverage, Hook: in.Hook,
 	}))
 }
 
@@ -277,12 +243,9 @@ var groups = []struct {
 	// All three backends on the raw and the netopt-optimized netlist.
 	{"rtlsim", []string{"rtlsim(koika,switch)", "rtlsim(koika,switch,opt)", "rtlsim(koika,closure)",
 		"rtlsim(koika,closure,opt)", "rtlsim(koika,fused)", "rtlsim(koika,fused,opt)"}},
-	// The pooled engines at widths 2 and 4.
-	{"parallel", []string{"cuttlesim-par(closure,w2)", "cuttlesim-par(closure,w4)",
-		"cuttlesim-par(bytecode,w2)", "rtlsim-par(koika,w2)", "rtlsim-par(koika,w4)"}},
 }
 
-// InProcess is the cuttlesim, rtlsim and parallel groups: every engine
+// InProcess is the cuttlesim and rtlsim groups: every engine
 // that runs without the Go toolchain, and the one lockstep matrix kdiff,
 // kbench -fuzz and the fuzz targets check.
 func InProcess() []Spec {
@@ -295,7 +258,7 @@ func InProcess() []Spec {
 	return out
 }
 
-// Group resolves a group name — cuttlesim, rtlsim, parallel, or all
+// Group resolves a group name — cuttlesim, rtlsim, or all
 // (InProcess plus native) — or else a single engine name.
 func Group(name string) ([]Spec, error) {
 	if name == "all" {
@@ -312,7 +275,7 @@ func Group(name string) ([]Spec, error) {
 	}
 	s, err := Parse(name)
 	if err != nil {
-		return nil, fmt.Errorf("%w\n  groups: cuttlesim, rtlsim, parallel, all", err)
+		return nil, fmt.Errorf("%w\n  groups: cuttlesim, rtlsim, all", err)
 	}
 	return []Spec{s}, nil
 }

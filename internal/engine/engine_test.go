@@ -10,17 +10,14 @@ import (
 	"cuttlego/internal/testkit"
 )
 
-// benchNames is every distinct engine name in BENCH_1.json–BENCH_4.json:
-// the trajectory stays comparable only while each one still parses and
-// prints back byte-identical.
+// benchNames is every distinct engine name in BENCH_1.json–BENCH_4.json
+// apart from BENCH_3's retired pooled engines: the trajectory stays
+// comparable only while each one still parses and prints back
+// byte-identical.
 var benchNames = []string{
 	"cuttlesim(static,closure)", "cuttlesim(static,bytecode)",
 	"cuttlesim(activity,closure)", "cuttlesim(activity,bytecode)",
 	"rtlsim(koika,closure)", "rtlsim(koika,switch)", "rtlsim(koika,fused,opt)",
-	"cuttlesim-par(closure,w1)", "cuttlesim-par(closure,w2)",
-	"cuttlesim-par(closure,w4)", "cuttlesim-par(closure,w8)",
-	"rtlsim-par(koika,opt,w1)", "rtlsim-par(koika,opt,w2)",
-	"rtlsim-par(koika,opt,w4)", "rtlsim-par(koika,opt,w8)",
 	"native",
 }
 
@@ -39,7 +36,7 @@ func TestBenchNamesRoundTrip(t *testing.T) {
 
 func TestGroupsRoundTrip(t *testing.T) {
 	seen := map[string]bool{}
-	for _, g := range []string{"cuttlesim", "rtlsim", "parallel", "all"} {
+	for _, g := range []string{"cuttlesim", "rtlsim", "all"} {
 		specs, err := engine.Group(g)
 		if err != nil || len(specs) == 0 {
 			t.Fatalf("group %s: %v, %d engines", g, err, len(specs))
@@ -71,11 +68,10 @@ func TestParseRejects(t *testing.T) {
 		"", "verilator", "cuttlesim", "interp()", "native(w2)",
 		"cuttlesim(static)", "cuttlesim(static,closure", "cuttlesim(static,closure,opt)",
 		"cuttlesim(ludicrous,closure)", "cuttlesim(-1,closure)", "cuttlesim(static,foo)",
-		"cuttlesim-par(static,closure,w4)", "cuttlesim-par(closure,w0)", "cuttlesim-par(closure,w01)",
-		"cuttlesim-par(closure)", "cuttlesim-par(closure,4)",
 		"rtlsim(koika,bytecode)", "rtlsim(static,fused)", "rtlsim(koika,fused,opt,opt)",
-		"rtlsim(koika,fused,fast)", "rtlsim-par(koika,fused,w2)", "rtlsim-par(koika)",
-		"interp-par(w2)", "Cuttlesim(static,closure)", "cuttlesim( static,closure)",
+		"rtlsim(koika,fused,fast)", "interp-par(w2)", "Cuttlesim(static,closure)", "cuttlesim( static,closure)",
+		// The retired intra-design pools.
+		"cuttlesim-par(closure,w2)", "cuttlesim-par(activity,closure,w4)", "rtlsim-par(koika,opt,w4)",
 	} {
 		_, err := engine.Parse(name)
 		if err == nil {
@@ -91,11 +87,9 @@ func TestParseRejects(t *testing.T) {
 func TestValidateRejectsStrayFields(t *testing.T) {
 	for _, s := range []engine.Spec{
 		{Kind: "interp", Backend: "closure"},
-		{Kind: "native", Workers: 2},
+		{Kind: "native", Optimize: true},
 		{Kind: "cuttlesim", Level: "static", Backend: "closure", Optimize: true},
 		{Kind: "rtlsim", Level: "static", Style: "koika", Backend: "fused"},
-		{Kind: "rtlsim", Style: "koika", Backend: "switch", Workers: 2},
-		{Kind: "cuttlesim", Level: "static", Backend: "closure", Workers: -1},
 	} {
 		if err := s.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", s)
@@ -115,7 +109,7 @@ func TestBuildMatchesInterp(t *testing.T) {
 	sim.Run(ref, sim.NopBench{}, 40)
 	want := sim.StateDigest(ref)
 	for _, s := range engine.InProcess() {
-		e, err := s.Build(entry.Build().MustCheck(), nil, nil, engine.Instrument{Profile: true, MinGrain: 1})
+		e, err := s.Build(entry.Build().MustCheck(), nil, nil, engine.Instrument{Profile: true})
 		if err != nil {
 			t.Errorf("%s: %v", s, err)
 			continue
@@ -124,13 +118,6 @@ func TestBuildMatchesInterp(t *testing.T) {
 		if got := sim.StateDigest(e); got != want {
 			t.Errorf("%s: digest %x, interp %x", s, got, want)
 		}
-		if c, ok := e.(interface{ Close() error }); ok {
-			c.Close()
-		}
-	}
-	_, err = engine.MustParse("cuttlesim-par(naive,closure,w2)").Build(entry.Build().MustCheck(), nil, nil, engine.Instrument{})
-	if err == nil || !strings.Contains(err.Error(), "requires Level >= static") {
-		t.Errorf("pooled naive cuttlesim: %v", err)
 	}
 	if _, err := engine.MustParse("native").Build(entry.Build().MustCheck(), nil, nil, engine.Instrument{}); err == nil {
 		t.Error("native built without a compile cache")

@@ -105,9 +105,8 @@ func (s *Simulator) compileFused() []func() {
 }
 
 // decodePlan pre-decodes the whole levelized plan into the flat fused-op
-// stream plus the external-call side table. It is shared by the fused
-// backend (which slices the stream into superop blocks) and the parallel
-// backend (which re-buckets the same ops into per-level shards).
+// stream plus the external-call side table; compileFused slices the
+// stream into superop blocks.
 func (s *Simulator) decodePlan() ([]fusedOp, []fusedExt) {
 	nets := s.ckt.Nets
 

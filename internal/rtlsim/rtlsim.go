@@ -16,7 +16,6 @@ package rtlsim
 
 import (
 	"fmt"
-	"runtime"
 
 	"cuttlego/internal/ast"
 	"cuttlego/internal/bits"
@@ -56,23 +55,6 @@ func (b Backend) String() string {
 // Options configures New.
 type Options struct {
 	Backend Backend
-
-	// Workers > 1 selects the parallel backend (see parallel.go): the
-	// levelized plan is evaluated bulk-synchronously, with wide levels
-	// sharded across a persistent pool of Workers goroutines (the caller's
-	// goroutine is one of them) and a barrier per sharded level. Workers of
-	// 0 or 1 keeps the configured sequential Backend. Parallel execution
-	// always uses the fused op encoding regardless of Backend, and is
-	// observably identical to the sequential backends cycle for cycle.
-	// Pools far wider than the machine are clamped (to 8×GOMAXPROCS, min
-	// 8). Parallel simulators own goroutines: call Close when done (a
-	// finalizer backstops leaks).
-	Workers int
-
-	// MinGrain is the minimum number of fused ops per shard; levels with
-	// fewer than 2*MinGrain ops stay sequential. 0 means DefaultMinGrain.
-	// Tests use MinGrain 1 to force fan-out on tiny designs.
-	MinGrain int
 }
 
 // Simulator evaluates a compiled netlist cycle by cycle.
@@ -80,13 +62,12 @@ type Simulator struct {
 	ckt    *circuit.Circuit
 	d      *ast.Design
 	opts   Options
-	state  []uint64   // register values
-	vals   []uint64   // per-net values, reused across cycles
-	plan   []int      // nets re-evaluated each cycle, topological order
-	fns    []func()   // closure backend: one evaluator per planned net
-	blocks []func()   // fused backend: one superop block per closure
-	par    *parRunner // parallel backend: BSP plan + worker pool
-	regs   []int      // NRegOut nets, refreshed at the top of each cycle
+	state  []uint64 // register values
+	vals   []uint64 // per-net values, reused across cycles
+	plan   []int    // nets re-evaluated each cycle, topological order
+	fns    []func() // closure backend: one evaluator per planned net
+	blocks []func() // fused backend: one superop block per closure
+	regs   []int    // NRegOut nets, refreshed at the top of each cycle
 	sched  []int
 	fired  []bool
 	cycle  uint64
@@ -134,12 +115,6 @@ func New(ckt *circuit.Circuit, opts Options) (_ *Simulator, err error) {
 		}
 	}
 	switch {
-	case opts.Workers > 1:
-		s.par = s.compileParallel(opts.Workers, opts.MinGrain)
-		if s.par.chans != nil {
-			par := s.par
-			runtime.SetFinalizer(s, func(*Simulator) { par.shutdown() })
-		}
 	case opts.Backend == Closure:
 		s.fns = make([]func(), len(s.plan))
 		for pi, ni := range s.plan {
@@ -192,8 +167,6 @@ func (s *Simulator) Cycle() {
 		s.vals[i] = s.state[nets[i].Reg]
 	}
 	switch {
-	case s.par != nil:
-		s.par.run()
 	case s.opts.Backend == Closure:
 		for _, f := range s.fns {
 			f()

@@ -251,7 +251,7 @@ func TestNewRejectsUnknownBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []rtlsim.Options{{Backend: 7}, {Backend: -1}, {Backend: 7, Workers: 4}} {
+	for _, opts := range []rtlsim.Options{{Backend: 7}, {Backend: -1}} {
 		_, err := rtlsim.New(ckt, opts)
 		if want := fmt.Sprintf("backend(%d)", int(opts.Backend)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("New(%+v) = %v, want an error naming %s", opts, err, want)

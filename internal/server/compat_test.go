@@ -13,8 +13,9 @@ import (
 // with literal engine configs in the form earlier daemons wrote (defaults
 // spelled out, pool width as given), then resurrects it on a fresh daemon:
 // the session must resume at its checkpoint digest, name its engine by the
-// registry, and keep stepping in lockstep with a freshly created session
-// of the same configuration.
+// registry, and keep stepping in lockstep with an uninterrupted session of
+// the same configuration. Configs naming a retired intra-design pool width
+// ("workers": 4) resurrect onto the sequential engine.
 func TestParentFormatMetaResurrects(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -23,7 +24,11 @@ func TestParentFormatMetaResurrects(t *testing.T) {
 		engine string
 	}{
 		{`{"engine":"rtlsim","backend":"fused","optimize":true,"workers":4}`,
-			server.CreateRequest{Engine: "rtlsim", Optimize: true, Workers: 4}, "rtlsim-par(koika,opt,w4)"},
+			server.CreateRequest{Engine: "rtlsim", Optimize: true}, "rtlsim(koika,fused,opt)"},
+		{`{"engine":"cuttlesim","level":"static","backend":"closure","workers":4}`,
+			server.CreateRequest{}, "cuttlesim(static,closure)"},
+		{`{"engine":"cuttlesim","level":"activity","backend":"closure","workers":4}`,
+			server.CreateRequest{Level: "activity"}, "cuttlesim(activity,closure)"},
 		{`{"engine":"cuttlesim","level":"static","backend":"closure"}`,
 			server.CreateRequest{}, "cuttlesim(static,closure)"},
 		{`{"engine":"cuttlesim","level":"activity","backend":"bytecode","workers":1}`,

@@ -16,15 +16,15 @@ type EngineConfig struct {
 	Level    string `json:"level,omitempty"`
 	Backend  string `json:"backend,omitempty"`
 	Optimize bool   `json:"optimize,omitempty"`
-	// Workers > 1 selects the parallel engine at that pool width: conflict-
-	// free rule groups for cuttlesim, BSP-sharded levels for rtlsim.
+	// Workers is kept so meta files that name a retired intra-design pool
+	// width still load; any value >= 0 builds the sequential engine.
 	Workers int `json:"workers,omitempty"`
 }
 
 // spec maps the wire fields onto the engine registry. Empty fields take
 // ksimd's defaults (cuttlesim at the static level on closures; rtlsim on
-// the fused backend over the Kôika netlist), a pool width of 1 is the
-// sequential engine, and Optimize only means something to rtlsim.
+// the fused backend over the Kôika netlist), Optimize only means something
+// to rtlsim, and Workers is checked but otherwise ignored.
 func (c EngineConfig) spec() (engine.Spec, error) {
 	or := func(v, def string) string {
 		if v == "" {
@@ -32,22 +32,22 @@ func (c EngineConfig) spec() (engine.Spec, error) {
 		}
 		return v
 	}
-	s := engine.Spec{Kind: c.Engine, Level: c.Level, Backend: c.Backend, Workers: c.Workers}
+	if c.Workers < 0 {
+		return engine.Spec{}, fmt.Errorf("workers must be >= 0, got %d", c.Workers)
+	}
+	s := engine.Spec{Kind: c.Engine, Level: c.Level, Backend: c.Backend}
 	switch c.Engine {
 	case "", "cuttlesim":
 		s.Kind, s.Level, s.Backend = "cuttlesim", or(c.Level, "static"), or(c.Backend, "closure")
 	case "rtlsim":
 		s.Style, s.Backend, s.Optimize = "koika", or(c.Backend, "fused"), c.Optimize
 	}
-	if s.Workers == 1 {
-		s.Workers = 0
-	}
 	return s, s.Validate()
 }
 
 // configOf is spec's inverse: the normalized fields a session persists.
 func configOf(s engine.Spec) EngineConfig {
-	return EngineConfig{Engine: s.Kind, Level: s.Level, Backend: s.Backend, Optimize: s.Optimize, Workers: s.Workers}
+	return EngineConfig{Engine: s.Kind, Level: s.Level, Backend: s.Backend, Optimize: s.Optimize}
 }
 
 // build instantiates the engine over a fresh design instance. Cuttlesim

@@ -46,7 +46,9 @@ func acceptedBefore(c EngineConfig) bool {
 // optimize, workers} combination over the known values plus an unknown one
 // per field. Accepted combinations create a session through the real
 // create path and carry exactly one registry name, which parses back to
-// the same spec; rejected ones fail to create.
+// the same spec; rejected ones fail to create. Since the intra-design pools
+// are retired, a width >= 0 no longer matters: a combination is accepted
+// exactly when acceptedBefore accepts it at width 0.
 func TestEngineConfigCrossProduct(t *testing.T) {
 	engines := []string{"", "cuttlesim", "rtlsim", "interp", "native", "verilator"}
 	levels := []string{"", "naive", "split-sets", "accumulate", "reset-on-fail", "merge-data",
@@ -59,7 +61,9 @@ func TestEngineConfigCrossProduct(t *testing.T) {
 				for _, opt := range []bool{false, true} {
 					for _, w := range []int{-1, 0, 1, 2, 4} {
 						c := EngineConfig{Engine: e, Level: l, Backend: b, Optimize: opt, Workers: w}
-						want := acceptedBefore(c)
+						seq := c
+						seq.Workers = 0
+						want := c.Workers >= 0 && acceptedBefore(seq)
 						spec, err := c.spec()
 						if err == nil && spec.Kind != "native" {
 							var s *session
@@ -103,20 +107,21 @@ func TestEngineConfigNames(t *testing.T) {
 		{EngineConfig{}, "cuttlesim(static,closure)"},
 		{EngineConfig{Engine: "cuttlesim", Level: "naive", Backend: "bytecode"}, "cuttlesim(naive,bytecode)"},
 		{EngineConfig{Workers: 1}, "cuttlesim(static,closure)"},
-		{EngineConfig{Backend: "bytecode", Workers: 4}, "cuttlesim-par(bytecode,w4)"},
-		{EngineConfig{Level: "activity", Workers: 2}, "cuttlesim-par(activity,closure,w2)"},
+		{EngineConfig{Backend: "bytecode", Workers: 4}, "cuttlesim(static,bytecode)"},
+		{EngineConfig{Level: "activity", Workers: 2}, "cuttlesim(activity,closure)"},
 		{EngineConfig{Engine: "rtlsim"}, "rtlsim(koika,fused)"},
 		{EngineConfig{Engine: "rtlsim", Backend: "switch", Optimize: true}, "rtlsim(koika,switch,opt)"},
-		{EngineConfig{Engine: "rtlsim", Optimize: true, Workers: 4}, "rtlsim-par(koika,opt,w4)"},
+		{EngineConfig{Engine: "rtlsim", Optimize: true, Workers: 4}, "rtlsim(koika,fused,opt)"},
 		{EngineConfig{Engine: "interp", Optimize: true}, "interp"},
 		{EngineConfig{Engine: "native"}, "native"},
+		{EngineConfig{Engine: "native", Workers: 2}, "native"},
 	} {
 		s, err := tc.c.spec()
 		if err != nil || s.String() != tc.want {
 			t.Errorf("%+v -> %s, %v; want %s", tc.c, s, err, tc.want)
 		}
 	}
-	if _, err := (EngineConfig{Engine: "native", Workers: 2}).spec(); err == nil {
-		t.Error("native with a worker pool accepted")
+	if _, err := (EngineConfig{Workers: -1}).spec(); err == nil {
+		t.Error("negative workers accepted")
 	}
 }

@@ -206,7 +206,7 @@ func (s *session) lock() error {
 	return nil
 }
 
-// closeEngine releases an engine's worker pool or subprocess, if it has
+// closeEngine releases an engine's subprocess (the native tier), if it has
 // one; a nil engine holds nothing.
 func closeEngine(eng sim.Engine) {
 	if c, ok := eng.(interface{ Close() error }); ok {

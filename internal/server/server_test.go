@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -308,8 +309,8 @@ func TestConcurrentSessions(t *testing.T) {
 		{Catalog: "fft"},
 		{Catalog: "fft", Engine: "interp"},
 		{Catalog: "idle"},
-		{Catalog: "fft", Workers: 4},
-		{Catalog: "fft", Engine: "rtlsim", Optimize: true, Workers: 4},
+		{Catalog: "fft", Level: "activity"},
+		{Catalog: "fft", Engine: "rtlsim", Optimize: true},
 	}
 	const total = 240
 	want := map[string]string{}
@@ -366,49 +367,51 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestParallelEngineConfig drives the workers knob over the wire: valid
-// widths build pooled engines whose digests match the sequential
-// reference, and option combinations the parallel engines cannot honor
-// are rejected at create time.
-func TestParallelEngineConfig(t *testing.T) {
+// TestWorkersFieldBuildsSequentialEngine drives the workers field over the
+// wire. The intra-design pools it once selected are retired, so every width
+// >= 0 builds the sequential engine: the session reports the sequential
+// registry name and lands on the sequential reference digest. A negative
+// width is still refused with 400.
+func TestWorkersFieldBuildsSequentialEngine(t *testing.T) {
 	_, c := newTestDaemon(t, server.Config{})
 	ctx := context.Background()
 	want := referenceDigest(t, "fft", 100)
-	for _, req := range []server.CreateRequest{
-		{Catalog: "fft", Workers: 2},
-		{Catalog: "fft", Backend: "bytecode", Workers: 4},
-		{Catalog: "fft", Engine: "rtlsim", Workers: 4},
+	for _, tc := range []struct {
+		req    server.CreateRequest
+		engine string
+	}{
+		{server.CreateRequest{Catalog: "fft", Workers: 2}, "cuttlesim(static,closure)"},
+		{server.CreateRequest{Catalog: "fft", Backend: "bytecode", Workers: 4}, "cuttlesim(static,bytecode)"},
+		{server.CreateRequest{Catalog: "fft", Engine: "rtlsim", Workers: 4}, "rtlsim(koika,fused)"},
+		{server.CreateRequest{Catalog: "fft", Engine: "interp", Workers: 2}, "interp"},
+		{server.CreateRequest{Catalog: "fft", Level: "naive", Workers: 2}, "cuttlesim(naive,closure)"},
+		{server.CreateRequest{Catalog: "fft", Engine: "rtlsim", Backend: "switch", Workers: 2}, "rtlsim(koika,switch)"},
 	} {
-		info, err := c.Create(ctx, req)
+		info, err := c.Create(ctx, tc.req)
 		if err != nil {
-			t.Fatalf("create %+v: %v", req, err)
+			t.Fatalf("create %+v: %v", tc.req, err)
 		}
-		if !strings.Contains(info.Engine, fmt.Sprintf("w%d", req.Workers)) {
-			t.Errorf("engine string %q does not record the pool width", info.Engine)
+		if info.Engine != tc.engine {
+			t.Errorf("%+v: engine %q, want %q", tc.req, info.Engine, tc.engine)
 		}
 		if _, err := c.Step(ctx, info.ID, 100); err != nil {
-			t.Fatalf("step %+v: %v", req, err)
+			t.Fatalf("step %+v: %v", tc.req, err)
 		}
 		got, err := c.Info(ctx, info.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Digest != want {
-			t.Errorf("%+v: digest %s, want %s", req, got.Digest, want)
+			t.Errorf("%+v: digest %s, want %s", tc.req, got.Digest, want)
 		}
 		if err := c.Delete(ctx, info.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, req := range []server.CreateRequest{
-		{Catalog: "fft", Engine: "interp", Workers: 2},
-		{Catalog: "fft", Level: "naive", Workers: 2},
-		{Catalog: "fft", Engine: "rtlsim", Backend: "switch", Workers: 2},
-		{Catalog: "fft", Workers: -1},
-	} {
-		if _, err := c.Create(ctx, req); err == nil {
-			t.Errorf("create accepted %+v", req)
-		}
+	_, err := c.Create(ctx, server.CreateRequest{Catalog: "fft", Workers: -1})
+	var apiErr *kclient.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Errorf("create with workers -1: %v, want a 400", err)
 	}
 }
 

@@ -199,8 +199,7 @@ func newSession(id string, req CreateRequest, env sessionEnv) (_ *session, err e
 
 // discard closes a session that was built but never admitted to the table
 // (a failed restore, a lost admit race, a full table): without this,
-// parallel engines leak their worker pools and native ones their
-// subprocesses.
+// native engines leak their subprocesses.
 func (s *session) discard() {
 	s.mu.Lock()
 	s.markClosed(false)

@@ -68,8 +68,9 @@ type CreateRequest struct {
 	Backend string `json:"backend,omitempty"`
 	// Optimize runs the netlist optimizer before building rtlsim engines.
 	Optimize bool `json:"optimize,omitempty"`
-	// Workers > 1 selects the parallel engine at that pool width
-	// (cuttlesim at level static or above, or rtlsim's fused backend).
+	// Workers is accepted for compatibility with clients of the retired
+	// intra-design pools: any value >= 0 builds the sequential engine, a
+	// negative value is refused.
 	Workers int `json:"workers,omitempty"`
 }
 
