@@ -93,6 +93,20 @@ func (d *Design) Check() (err error) {
 	return nil
 }
 
+// CheckExpr type-checks a standalone expression — one that belongs to no
+// rule, such as a debugger condition — against the registers and external
+// functions of the checked design d, annotating its nodes as Check does,
+// and returns its width. d itself is not modified.
+func (d *Design) CheckExpr(n *Node) (w int, err error) {
+	defer diag.Guard("ast: check expression", &err)
+	if !d.checked {
+		return 0, fmt.Errorf("design %q is not checked", d.Name)
+	}
+	ck := &checker{d: d, seen: make(map[*Node]bool)}
+	w, _, err = ck.check(n, nil)
+	return w, err
+}
+
 // inRule prefixes a checker error with its rule's name, preserving the
 // position when the error is a diagnostic.
 func inRule(rule string, err error) error {

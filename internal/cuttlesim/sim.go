@@ -26,6 +26,7 @@ type Simulator struct {
 
 var _ sim.Engine = (*Simulator)(nil)
 var _ sim.Snapshotter = (*Simulator)(nil)
+var _ sim.RowReader = (*Simulator)(nil)
 
 // New compiles a checked design into a simulator.
 func New(d *ast.Design, opts Options) (_ *Simulator, err error) {
@@ -116,6 +117,13 @@ func (s *Simulator) CycleCount() uint64 { return s.m.cycle }
 func (s *Simulator) Reg(name string) bits.Bits {
 	i := s.d.RegIndex(name)
 	return bits.Bits{Width: s.d.Registers[i].Type.BitWidth(), Val: s.m.regValue(i)}
+}
+
+// ReadRow implements sim.RowReader.
+func (s *Simulator) ReadRow(dst []uint64) {
+	for i := range s.d.Registers {
+		dst[i] = s.m.regValue(i)
+	}
 }
 
 // SetReg implements sim.Engine.

@@ -43,6 +43,7 @@ type Simulator struct {
 
 var _ sim.Engine = (*Simulator)(nil)
 var _ sim.Snapshotter = (*Simulator)(nil)
+var _ sim.RowReader = (*Simulator)(nil)
 
 // New builds a reference simulator for a checked design.
 func New(d *ast.Design) (_ *Simulator, err error) {
@@ -72,6 +73,13 @@ func (s *Simulator) CycleCount() uint64 { return s.cycle }
 
 // Reg implements sim.Engine.
 func (s *Simulator) Reg(name string) bits.Bits { return s.state[s.d.RegIndex(name)] }
+
+// ReadRow implements sim.RowReader.
+func (s *Simulator) ReadRow(dst []uint64) {
+	for i, v := range s.state {
+		dst[i] = v.Val
+	}
+}
 
 // SetReg implements sim.Engine.
 func (s *Simulator) SetReg(name string, v bits.Bits) {

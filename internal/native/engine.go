@@ -438,6 +438,8 @@ func (e *Engine) Close() error {
 
 // --- sim.Engine facade -----------------------------------------------------
 
+var _ sim.RowReader = (*Engine)(nil)
+
 // Design implements sim.Engine.
 func (e *Engine) Design() *ast.Design { return e.design }
 
@@ -469,6 +471,17 @@ func (e *Engine) Reg(name string) bits.Bits {
 		panic(err)
 	}
 	return bits.New(e.design.Registers[i].Type.BitWidth(), e.mirror[i])
+}
+
+// ReadRow implements sim.RowReader: the whole row from the mirror, paying
+// at most the one peek-all round trip a Reg call would.
+func (e *Engine) ReadRow(dst []uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.refreshLocked(); err != nil {
+		panic(err)
+	}
+	copy(dst[:len(e.mirror)], e.mirror)
 }
 
 // SetReg implements sim.Engine.

@@ -80,6 +80,7 @@ type Simulator struct {
 
 var _ sim.Engine = (*Simulator)(nil)
 var _ sim.Snapshotter = (*Simulator)(nil)
+var _ sim.RowReader = (*Simulator)(nil)
 
 // New builds a simulator for a compiled circuit.
 func New(ckt *circuit.Circuit, opts Options) (_ *Simulator, err error) {
@@ -146,6 +147,9 @@ func (s *Simulator) Reg(name string) bits.Bits {
 	i := s.d.RegIndex(name)
 	return bits.Bits{Width: s.d.Registers[i].Type.BitWidth(), Val: s.state[i]}
 }
+
+// ReadRow implements sim.RowReader.
+func (s *Simulator) ReadRow(dst []uint64) { copy(dst[:len(s.state)], s.state) }
 
 // SetReg implements sim.Engine.
 func (s *Simulator) SetReg(name string, v bits.Bits) {

@@ -314,3 +314,76 @@ func TestLifecycleForkIDsUniqueAcrossDaemons(t *testing.T) {
 		t.Fatalf("two daemons sharing a store both minted fork id %q", ids[0])
 	}
 }
+
+// TestLifecycleCreateIDsUniqueAcrossDaemons: daemons sharing a store each
+// mint ids for creates that name none. Creates racing on two daemons must
+// never take the same id, a minted id must skip one that already has
+// durable state, and a restart over a store holding untagged "s<N>"
+// sessions still seeds the counter past them.
+func TestLifecycleCreateIDsUniqueAcrossDaemons(t *testing.T) {
+	store := t.TempDir()
+	newDaemon := func() *Server {
+		srv, err := New(Config{StoreDir: store})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		return srv
+	}
+	create := func(srv *Server, body string) string {
+		rec := call(t, srv, "POST", "/v1/sessions", body)
+		var inf SessionInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &inf); err != nil || rec.Code != http.StatusCreated {
+			t.Errorf("create %s: %d %s", body, rec.Code, rec.Body)
+		}
+		return inf.ID
+	}
+	checkpoint := func(srv *Server, id string) {
+		if rec := call(t, srv, "POST", "/v1/sessions/"+id+"/checkpoint", ""); rec.Code != http.StatusOK {
+			t.Fatalf("checkpoint %s: %d %s", id, rec.Code, rec.Body)
+		}
+	}
+	srvs := []*Server{newDaemon(), newDaemon()}
+	const perDaemon = 4
+	ids := make([][]string, len(srvs))
+	var wg sync.WaitGroup
+	for i, srv := range srvs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perDaemon {
+				ids[i] = append(ids[i], create(srv, `{"catalog":"collatz"}`))
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for _, list := range ids {
+		for _, id := range list {
+			if seen[id] {
+				t.Fatalf("two creates on daemons sharing a store were both given id %q", id)
+			}
+			seen[id] = true
+		}
+	}
+
+	// A client claims the id the first daemon would mint next; its minted
+	// id must step past the durable session.
+	a := srvs[0]
+	a.mu.Lock()
+	next := fmt.Sprintf("s%s%d", a.tag, a.nextID+1)
+	a.mu.Unlock()
+	if got := create(srvs[1], `{"catalog":"collatz","id":"`+next+`"}`); got != next {
+		t.Fatalf("claimed id %q, got %q", next, got)
+	}
+	checkpoint(srvs[1], next)
+	if got := create(a, `{"catalog":"collatz"}`); got == next {
+		t.Fatalf("minted id %q already has durable state", got)
+	}
+
+	// A store written by a daemon that minted "s<N>" ids.
+	checkpoint(a, create(a, `{"catalog":"collatz","id":"s41"}`))
+	if c := newDaemon(); c.nextID < 41 {
+		t.Fatalf("restart seeded nextID %d, want >= 41", c.nextID)
+	}
+}

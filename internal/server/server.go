@@ -123,11 +123,11 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	nextID   uint64
-	// forkTag prefixes the ids of forks this daemon mints. It is random per
-	// daemon: daemons sharing a store each count from their own nextID, and
-	// two forks minted under one id would overwrite (and, on a failed
-	// checkpoint, delete) each other's durable state.
-	forkTag string
+	// tag is random per daemon and part of every id the daemon mints (see
+	// mintID): daemons sharing a store each count from their own nextID,
+	// and two sessions minted under one id would overwrite (and, on a
+	// failed checkpoint, delete) each other's durable state.
+	tag string
 
 	sem        chan struct{} // worker pool slots
 	queueDepth atomic.Int64
@@ -168,7 +168,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	var tag [6]byte
 	_, _ = rand.Read(tag[:]) // crypto/rand does not fail on supported platforms
-	s.forkTag = fmt.Sprintf("f%x-", tag)
+	s.tag = fmt.Sprintf("%x-", tag)
 	if cfg.StoreDir != "" {
 		fsys := faultinj.OS()
 		if cfg.Faults != nil {
@@ -179,10 +179,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.store = st
-		// Seed the id counter past every stored session: a restarted daemon
-		// must never mint an id that collides with durable state, or a new
-		// session's checkpoints would overwrite (and DELETE would destroy)
-		// an old session's.
+		// Seed the id counter past every stored "s<N>" session, so a
+		// restarted daemon keeps counting up from stores written before
+		// minted ids carried a tag. mintID itself refuses any id with
+		// durable state: a new session's checkpoints would overwrite (and
+		// DELETE would destroy) an old session's.
 		ids, err := st.Sessions()
 		if err != nil {
 			return nil, fmt.Errorf("server: scan store: %w", err)
@@ -322,8 +323,24 @@ func (s *Server) checkpointLocked(sess *session) (_ CheckpointResponse, err erro
 	return resp, nil
 }
 
-// sessionSeq parses a daemon-minted "s<N>" session id; foreign ids report
-// false.
+// mintID returns a fresh id, "s<tag>-<n>" for creates and "f<tag>-<n>"
+// for forks, that neither a live session nor durable state uses.
+func (s *Server) mintID(kind string) string {
+	for {
+		s.mu.Lock()
+		s.nextID++
+		id := kind + s.tag + strconv.FormatUint(s.nextID, 10)
+		_, live := s.sessions[id]
+		s.mu.Unlock()
+		if !live && (s.store == nil || !s.store.HasSession(id)) {
+			return id
+		}
+	}
+}
+
+// sessionSeq parses an "s<N>" session id, the form daemons minted before
+// ids carried a per-daemon tag and a form clients may claim; other ids
+// report false.
 func sessionSeq(id string) (uint64, bool) {
 	rest, ok := strings.CutPrefix(id, "s")
 	if !ok {
@@ -904,10 +921,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	id := req.ID
 	if id == "" {
-		s.mu.Lock()
-		s.nextID++
-		id = "s" + strconv.FormatUint(s.nextID, 10)
-		s.mu.Unlock()
+		id = s.mintID("s")
 	} else {
 		// A client-claimed id (routing gateways mint fleet-unique ids so the
 		// id hashes to a backend before the create lands). It must not
@@ -1102,11 +1116,7 @@ func (s *Server) forkOp(_ *http.Request, sess *session, _ struct{}) (SessionInfo
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	s.mu.Lock()
-	s.nextID++
-	id := s.forkTag + strconv.FormatUint(s.nextID, 10)
-	s.mu.Unlock()
-	fork := newLazyFork(id, sess, ov)
+	fork := newLazyFork(s.mintID("f"), sess, ov)
 	if _, err := s.enter(fork); err != nil {
 		return SessionInfo{}, err
 	}

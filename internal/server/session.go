@@ -99,7 +99,9 @@ type session struct {
 	rec      *tracedb.Recorder
 	traceDir string
 	traceFS  faultinj.FS
-	traceRow []uint64 // scratch row, reused every cycle
+	// row is the register row breakpoints and the recorder read, filled
+	// once per cycle while either is armed and reused.
+	row []uint64
 
 	// lazy, in the lazy phase, is the copy-on-write state of a fork that
 	// has not diverged into its own engine: a shared immutable base snapshot
@@ -129,7 +131,7 @@ type session struct {
 
 type sessionCond struct {
 	src  string
-	eval func(sim.Engine) bool
+	pred *debug.Predicate
 }
 
 // snapInterval is how often stepping records an in-memory snapshot for
@@ -446,9 +448,12 @@ func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error
 		if s.eng.CycleCount()%snapInterval == 0 {
 			s.recordSnapshot()
 		}
+		var row []uint64
+		if s.rec != nil || len(s.conds) > 0 {
+			row = s.rowLocked()
+		}
 		if s.rec != nil {
-			s.traceRow = s.rowLocked(s.traceRow)
-			if err := s.rec.Append(s.eng.CycleCount(), s.traceRow); err != nil {
+			if err := s.rec.Append(s.eng.CycleCount(), row); err != nil {
 				return i, "", fmt.Errorf("trace recording: %w", err)
 			}
 		}
@@ -458,7 +463,7 @@ func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error
 			}
 		}
 		for _, c := range s.conds {
-			if c.eval(s.eng) {
+			if c.pred.Eval(row) {
 				return i, fmt.Sprintf("condition %q at cycle %d", c.src, s.eng.CycleCount()), nil
 			}
 		}
@@ -660,27 +665,25 @@ func (s *session) setBreak(req BreakRequest) (err error) {
 	if req.Cond == "" {
 		return nil
 	}
-	eval, err := debug.CompileCondition(s.design(), req.Cond)
+	pred, err := debug.Compile(s.design(), req.Cond)
 	if err != nil {
 		return err
 	}
-	s.conds = append(s.conds, sessionCond{src: req.Cond, eval: eval})
+	s.conds = append(s.conds, sessionCond{src: req.Cond, pred: pred})
 	return nil
 }
 
 // --- trace recording --------------------------------------------------------
 
-// rowLocked samples every register into row (allocated when nil), in
-// declaration order — the tracedb schema order. Callers hold mu.
-func (s *session) rowLocked(row []uint64) []uint64 {
-	d := s.design()
-	if row == nil {
-		row = make([]uint64, len(d.Registers))
+// rowLocked reads every register into the session's reused row, in
+// declaration order — the tracedb schema order and the index space of
+// compiled breakpoints. Callers hold mu.
+func (s *session) rowLocked() []uint64 {
+	if s.row == nil {
+		s.row = make([]uint64, s.nRegs)
 	}
-	for i, r := range d.Registers {
-		row[i] = s.eng.Reg(r.Name).Val
-	}
-	return row
+	s.eng.(sim.RowReader).ReadRow(s.row)
+	return s.row
 }
 
 // record switches trace recording on or off. Disabling flushes and detaches
@@ -742,7 +745,7 @@ func (s *session) startTraceLocked(dir string, fsys faultinj.FS) error {
 		}
 	}
 	if last, ok := rec.LastCycle(); !ok || last < cur {
-		if err := rec.Append(cur, s.rowLocked(nil)); err != nil {
+		if err := rec.Append(cur, s.rowLocked()); err != nil {
 			return fmt.Errorf("trace recording: %w", err)
 		}
 	}
@@ -770,7 +773,7 @@ func (s *session) rewindTraceLocked() error {
 		return fmt.Errorf("trace recording: %w", err)
 	}
 	if last, ok := s.rec.LastCycle(); !ok || last < cur {
-		if err := s.rec.Append(cur, s.rowLocked(nil)); err != nil {
+		if err := s.rec.Append(cur, s.rowLocked()); err != nil {
 			return fmt.Errorf("trace recording: %w", err)
 		}
 	}

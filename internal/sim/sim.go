@@ -57,6 +57,16 @@ type Snapshot struct {
 	Wide []bits.Wide
 }
 
+// RowReader is implemented by engines that can copy every register's
+// payload out in one call. ReadRow fills dst — one slot per register, in
+// declaration order — with the same values Reg(name).Val returns, without a
+// name lookup per register. Compiled debugger predicates and the trace
+// recorder read the state this way once per cycle; every engine in this
+// module implements it.
+type RowReader interface {
+	ReadRow(dst []uint64)
+}
+
 // Advancer is implemented by engines that can execute a whole run of cycles
 // more cheaply than calling Cycle in a loop — e.g. an activity-driven engine
 // that fast-forwards once the design is quiescent. Advance(n) must be

@@ -7,10 +7,7 @@ import (
 	"strings"
 
 	"cuttlego/internal/ast"
-	"cuttlego/internal/bits"
 	"cuttlego/internal/debug"
-	"cuttlego/internal/lang"
-	"cuttlego/internal/sim"
 )
 
 // Query modes.
@@ -105,27 +102,6 @@ func (q Query) String() string {
 	return q.Mode + " " + q.Expr + w
 }
 
-// rowEngine adapts one recorded row to sim.Engine so predicates compiled
-// by debug.CompileCondition evaluate against history exactly as they would
-// against a live engine: the compiled closure only ever calls Reg.
-type rowEngine struct {
-	d      *ast.Design
-	widths []int
-	idx    map[string]int
-	row    []uint64
-	cycle  uint64
-}
-
-func (e *rowEngine) Design() *ast.Design { return e.d }
-func (e *rowEngine) Cycle()              {}
-func (e *rowEngine) Reg(name string) bits.Bits {
-	i := e.idx[name]
-	return bits.New(e.widths[i], e.row[i])
-}
-func (e *rowEngine) SetReg(string, bits.Bits) {}
-func (e *rowEngine) CycleCount() uint64       { return e.cycle }
-func (e *rowEngine) RuleFired(string) bool    { return false }
-
 // constraint is one index-prunable conjunct of the predicate: a comparison
 // between a signal read and a constant. A chunk whose [min, max] summary
 // cannot satisfy every constraint cannot contain a match.
@@ -163,93 +139,38 @@ func (ct constraint) admits(s SigSum) bool {
 	return true
 }
 
-// compiled is a predicate prepared for one recording: the evaluator, the
-// signals it reads, and its index-prunable constraints.
-type compiled struct {
-	eval        func(sim.Engine) bool
-	reads       []int // signal indices the expression reads
-	constraints []constraint
-}
-
-func (r *Reader) compile(d *ast.Design, expr string) (*compiled, error) {
-	if err := r.meta.CheckDesign(d); err != nil {
-		return nil, err
+// constraintsOf decomposes a checked predicate's top-level conjunctions
+// and keeps every `signal OP constant` conjunct as an index constraint.
+// Signal i is register i of d. The predicate is still evaluated in full on
+// surviving rows; constraints only rule chunks out, so missing one (an OR,
+// a signed compare, an arithmetic subterm) costs scan time, never
+// correctness.
+func constraintsOf(d *ast.Design, n *ast.Node) []constraint {
+	if n.Kind != ast.KBinop {
+		return nil
 	}
-	node, err := lang.ParseExpr(d, expr)
-	if err != nil {
-		return nil, err
+	switch n.Op {
+	case ast.OpAnd:
+		return append(constraintsOf(d, n.A), constraintsOf(d, n.B)...)
+	case ast.OpEq, ast.OpNeq, ast.OpLtu, ast.OpGeu:
+	default:
+		return nil
 	}
-	eval, err := debug.CompileCondition(d, expr)
-	if err != nil {
-		return nil, err
+	if n.A.Kind == ast.KRead && n.B.Kind == ast.KConst {
+		return []constraint{{sig: d.RegIndex(n.A.Name), op: n.Op, c: n.B.Val.Val}}
 	}
-	idx := make(map[string]int, len(r.meta.Signals))
-	for i, s := range r.meta.Signals {
-		idx[s.Name] = i
+	if n.A.Kind == ast.KConst && n.B.Kind == ast.KRead {
+		return []constraint{{sig: d.RegIndex(n.B.Name), op: n.Op, c: n.A.Val.Val, rev: true}}
 	}
-	c := &compiled{eval: eval}
-	seen := make(map[int]bool)
-	var walk func(n *ast.Node)
-	walk = func(n *ast.Node) {
-		if n == nil {
-			return
-		}
-		if n.Kind == ast.KRead {
-			if i, ok := idx[n.Name]; ok && !seen[i] {
-				seen[i] = true
-				c.reads = append(c.reads, i)
-			}
-		}
-		walk(n.A)
-		walk(n.B)
-		walk(n.C)
-		for _, it := range n.Items {
-			walk(it)
-		}
-	}
-	walk(node)
-	// Decompose top-level conjunctions and keep every `signal OP constant`
-	// conjunct as an index constraint. The predicate is still evaluated in
-	// full on surviving rows; constraints only rule chunks out, so missing
-	// one (an OR, a signed compare, an arithmetic subterm) costs scan time,
-	// never correctness.
-	var conj func(n *ast.Node)
-	conj = func(n *ast.Node) {
-		if n == nil {
-			return
-		}
-		if n.Kind == ast.KBinop && n.Op == ast.OpAnd {
-			conj(n.A)
-			conj(n.B)
-			return
-		}
-		if n.Kind != ast.KBinop {
-			return
-		}
-		switch n.Op {
-		case ast.OpEq, ast.OpNeq, ast.OpLtu, ast.OpGeu:
-		default:
-			return
-		}
-		if n.A.Kind == ast.KRead && n.B.Kind == ast.KConst {
-			if i, ok := idx[n.A.Name]; ok {
-				c.constraints = append(c.constraints, constraint{sig: i, op: n.Op, c: n.B.Val.Val})
-			}
-		} else if n.A.Kind == ast.KConst && n.B.Kind == ast.KRead {
-			if i, ok := idx[n.B.Name]; ok {
-				c.constraints = append(c.constraints, constraint{sig: i, op: n.Op, c: n.A.Val.Val, rev: true})
-			}
-		}
-	}
-	conj(node)
-	return c, nil
+	return nil
 }
 
 // Query answers q against the recording. d must be the design the
 // recording was made from (schema-checked). Chunks are ruled out by the
 // index — constraint summaries first, then the all-read-signals-unchanged
 // fast path which evaluates the predicate once per chunk instead of once
-// per row — and only surviving chunks are decoded and row-scanned.
+// per row — and only surviving chunks are row-scanned, decoding just the
+// columns of the predicate's read set.
 func (r *Reader) Query(d *ast.Design, q Query) (Result, error) {
 	var res Result
 	switch q.Mode {
@@ -260,35 +181,39 @@ func (r *Reader) Query(d *ast.Design, q Query) (Result, error) {
 	if q.To < q.From {
 		return res, fmt.Errorf("tracedb: query window %d..%d is empty", q.From, q.To)
 	}
+	if err := r.meta.CheckDesign(d); err != nil {
+		return res, err
+	}
+	pred, err := debug.Compile(d, q.Expr)
+	if err != nil {
+		return res, err
+	}
+	return r.query(d, pred, q)
+}
+
+// query answers q, whose mode and window are valid, with pred compiled for
+// d; the schema check guarantees signal i is d's register i. q.Expr is not
+// consulted.
+func (r *Reader) query(d *ast.Design, pred *debug.Predicate, q Query) (Result, error) {
+	var res Result
 	limit := q.Limit
 	if limit <= 0 {
 		limit = DefaultScanLimit
 	}
-	pred, err := r.compile(d, q.Expr)
-	if err != nil {
-		return res, err
-	}
-	eng := &rowEngine{
-		d:      d,
-		widths: make([]int, len(r.meta.Signals)),
-		idx:    make(map[string]int, len(r.meta.Signals)),
-		row:    make([]uint64, len(r.meta.Signals)),
-	}
-	for i, s := range r.meta.Signals {
-		eng.widths[i] = s.Width
-		eng.idx[s.Name] = i
-	}
+	constraints := constraintsOf(d, pred.Expr)
+	// row holds the predicate's read set; no other slot is ever filled.
+	row := make([]uint64, len(r.meta.Signals))
+	cols := make([][]uint64, len(pred.Reads))
 
 	// evalConst answers the predicate for a chunk whose read set is
 	// unchanged: build the one distinct row from the summaries and evaluate
 	// it once.
 	evalConst := func(c ChunkInfo) bool {
-		for i := range eng.row {
-			eng.row[i] = c.Sums[i].Min
+		for _, s := range pred.Reads {
+			row[s] = c.Sums[s].Min
 		}
-		eng.cycle = c.Start
 		res.RowsEvaluated++
-		return pred.eval(eng)
+		return pred.Eval(row)
 	}
 
 	backward := q.Mode == ModeLast
@@ -310,7 +235,7 @@ func (r *Reader) Query(d *ast.Design, q Query) (Result, error) {
 			hi = q.To
 		}
 		pruned := false
-		for _, ct := range pred.constraints {
+		for _, ct := range constraints {
 			if !ct.admits(c.Sums[ct.sig]) {
 				pruned = true
 				break
@@ -321,7 +246,7 @@ func (r *Reader) Query(d *ast.Design, q Query) (Result, error) {
 			continue
 		}
 		allConst := true
-		for _, s := range pred.reads {
+		for _, s := range pred.Reads {
 			if c.Sums[s].Changed {
 				allConst = false
 				break
@@ -352,19 +277,21 @@ func (r *Reader) Query(d *ast.Design, q Query) (Result, error) {
 			}
 			continue
 		}
-		cols, err := r.loadChunk(i)
+		v, err := r.loadChunk(i)
 		if err != nil {
 			return res, err
 		}
 		res.ChunksScanned++
+		for k, s := range pred.Reads {
+			cols[k] = v.col(s)
+		}
 		evalRow := func(cyc uint64) bool {
 			off := cyc - c.Start
-			for s := range cols {
-				eng.row[s] = cols[s][off]
+			for k, s := range pred.Reads {
+				row[s] = cols[k][off]
 			}
-			eng.cycle = cyc
 			res.RowsEvaluated++
-			return pred.eval(eng)
+			return pred.Eval(row)
 		}
 		if backward {
 			for cyc := hi; ; cyc-- {

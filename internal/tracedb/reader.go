@@ -10,16 +10,17 @@ import (
 // A Reader answers queries over a recording's on-disk extent. It snapshots
 // the index at Open, so a concurrently appending recorder never changes
 // the rows a reader sees mid-query (chunk files are only ever replaced by
-// atomic rename with a superset of their rows). Chunk payloads are decoded
-// lazily, one chunk at a time, with a one-chunk cache for sequential scans.
+// atomic rename with a superset of their rows). Chunk payloads are loaded
+// lazily, one chunk at a time, with a one-chunk cache for sequential scans,
+// and within a chunk each signal's column is decoded on first use.
 type Reader struct {
 	dir    string
 	fs     faultinj.FS
 	meta   Meta
 	chunks []ChunkInfo
 
-	cached     int // index into chunks of the cached decode, -1 if none
-	cachedCols [][]uint64
+	cached     int // index into chunks of the cached chunk, -1 if none
+	cachedView *chunkView
 }
 
 // Open loads a recording's meta and index for querying. A missing or
@@ -49,12 +50,12 @@ func (r *Reader) Bounds() (first, last uint64, ok bool) {
 	return r.chunks[0].Start, end.Start + end.Count - 1, true
 }
 
-// loadChunk decodes chunk i, serving repeats from the one-chunk cache. A
-// chunk whose bytes fail validation is quarantined and the error reported
-// — a damaged chunk never silently yields values.
-func (r *Reader) loadChunk(i int) ([][]uint64, error) {
+// loadChunk validates chunk i, serving repeats from the one-chunk cache.
+// A chunk whose bytes fail validation is quarantined and the error
+// reported — a damaged chunk never silently yields values.
+func (r *Reader) loadChunk(i int) (*chunkView, error) {
 	if r.cached == i {
-		return r.cachedCols, nil
+		return r.cachedView, nil
 	}
 	c := r.chunks[i]
 	path := filepath.Join(r.dir, chunkFile(c.Start))
@@ -62,31 +63,27 @@ func (r *Reader) loadChunk(i int) ([][]uint64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracedb: chunk c%d: %w", c.Start, err)
 	}
-	start, cols, err := decodeChunk(data, len(r.meta.Signals))
+	v, err := parseChunk(data, len(r.meta.Signals))
 	if err != nil {
 		_ = quarantine(r.fs, path)
 		return nil, fmt.Errorf("tracedb: chunk c%d quarantined: %w", c.Start, err)
 	}
-	if start != c.Start {
+	if v.start != c.Start {
 		_ = quarantine(r.fs, path)
 		return nil, fmt.Errorf("tracedb: chunk c%d quarantined: %w", c.Start,
-			corruptf("header says start %d", start))
+			corruptf("header says start %d", v.start))
 	}
-	if uint64(len(cols[0])) < c.Count {
+	if uint64(v.count) < c.Count {
 		// The file holds fewer rows than the index credits: torn state.
 		_ = quarantine(r.fs, path)
 		return nil, fmt.Errorf("tracedb: chunk c%d quarantined: %w", c.Start,
-			corruptf("has %d rows, index expects %d", len(cols[0]), c.Count))
+			corruptf("has %d rows, index expects %d", v.count, c.Count))
 	}
 	// More rows than the index credits is a crash between chunk write and
 	// index write; only the indexed prefix is visible.
-	if uint64(len(cols[0])) > c.Count {
-		for s := range cols {
-			cols[s] = cols[s][:c.Count]
-		}
-	}
-	r.cached, r.cachedCols = i, cols
-	return cols, nil
+	v.count = int(c.Count)
+	r.cached, r.cachedView = i, v
+	return v, nil
 }
 
 // Row returns the register values recorded at cycle, in schema order.
@@ -95,14 +92,14 @@ func (r *Reader) Row(cycle uint64) ([]uint64, error) {
 	if !ok {
 		return nil, fmt.Errorf("tracedb: cycle %d is outside the recording", cycle)
 	}
-	cols, err := r.loadChunk(i)
+	v, err := r.loadChunk(i)
 	if err != nil {
 		return nil, err
 	}
-	row := make([]uint64, len(cols))
+	row := make([]uint64, len(r.meta.Signals))
 	off := cycle - r.chunks[i].Start
-	for s := range cols {
-		row[s] = cols[s][off]
+	for s := range row {
+		row[s] = v.col(s)[off]
 	}
 	return row, nil
 }

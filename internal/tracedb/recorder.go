@@ -69,7 +69,7 @@ func Resume(dir string, fsys faultinj.FS) (*Recorder, error) {
 		return nil, err
 	}
 	// Readers verify chunks lazily, but a recorder must never append after
-	// damaged bytes: decode every adopted chunk now, quarantine the first
+	// damaged bytes: validate every adopted chunk now, quarantine the first
 	// bad one, and truncate the recording there. Resumption is rare (a
 	// restarted daemon, an explicit re-enable), so the full scan is cheap
 	// insurance.
@@ -80,8 +80,8 @@ func Resume(dir string, fsys faultinj.FS) (*Recorder, error) {
 		if rerr != nil {
 			break
 		}
-		start, cols, derr := decodeChunk(data, len(meta.Signals))
-		if derr != nil || start != c.Start || uint64(len(cols[0])) < c.Count {
+		v, perr := parseChunk(data, len(meta.Signals))
+		if perr != nil || v.start != c.Start || uint64(v.count) < c.Count {
 			_ = quarantine(fsys, path)
 			break
 		}

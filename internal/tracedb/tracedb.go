@@ -206,64 +206,137 @@ func encodeChunk(start uint64, count int, cols [][]uint64) ([]byte, []SigSum) {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), sums
 }
 
-// decodeChunk parses a chunk file. Every failure wraps ErrCorrupt.
-func decodeChunk(data []byte, nsig int) (start uint64, cols [][]uint64, err error) {
+// chunkView is a validated chunk file whose columns decode on first use,
+// so a query reading two signals decodes two columns, not every signal.
+// parseChunk validates everything up front — header, checksum, every
+// column's encoding and values, no trailing bytes — so a column decoded
+// later can never meet bad bytes.
+type chunkView struct {
+	start uint64
+	count int // rows a column decodes to (the file's, or the index's prefix)
+	body  []byte
+	enc   []byte     // per signal: encConst or encDense
+	off   []int      // per signal: offset of its first value in body
+	cols  [][]uint64 // per signal: the decoded column, nil until first use
+}
+
+// parseChunk validates a chunk file and locates its columns. Every failure
+// wraps ErrCorrupt.
+func parseChunk(data []byte, nsig int) (*chunkView, error) {
 	if len(data) < 20+crcLen {
-		return 0, nil, corruptf("chunk truncated (%d bytes)", len(data))
+		return nil, corruptf("chunk truncated (%d bytes)", len(data))
 	}
 	if string(data[:4]) != chunkMagic {
-		return 0, nil, corruptf("bad chunk magic %q", data[:4])
+		return nil, corruptf("bad chunk magic %q", data[:4])
 	}
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != formatVer {
-		return 0, nil, corruptf("unsupported chunk version %d", v)
+		return nil, corruptf("unsupported chunk version %d", v)
 	}
 	body := data[:len(data)-crcLen]
 	want := binary.LittleEndian.Uint32(data[len(data)-crcLen:])
 	if got := crc32.Checksum(body, crcTable); got != want {
-		return 0, nil, corruptf("chunk checksum mismatch (stored %08x, computed %08x)", want, got)
+		return nil, corruptf("chunk checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
-	start = binary.LittleEndian.Uint64(body[8:16])
 	count := binary.LittleEndian.Uint32(body[16:20])
 	if count == 0 || count > maxChunkRows {
-		return 0, nil, corruptf("chunk row count %d out of range", count)
+		return nil, corruptf("chunk row count %d out of range", count)
 	}
-	rest := body[20:]
-	cols = make([][]uint64, nsig)
+	v := &chunkView{
+		start: binary.LittleEndian.Uint64(body[8:16]),
+		count: int(count),
+		body:  body,
+		enc:   make([]byte, nsig),
+		off:   make([]int, nsig),
+		cols:  make([][]uint64, nsig),
+	}
+	pos := 20
 	for s := 0; s < nsig; s++ {
-		if len(rest) == 0 {
-			return 0, nil, corruptf("chunk signal %d missing", s)
+		if pos == len(body) {
+			return nil, corruptf("chunk signal %d missing", s)
 		}
-		enc := rest[0]
-		rest = rest[1:]
-		col := make([]uint64, count)
-		switch enc {
+		v.enc[s], v.off[s] = body[pos], pos+1
+		pos++
+		var n int
+		switch v.enc[s] {
 		case encConst:
-			v, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return 0, nil, corruptf("chunk signal %d const malformed", s)
-			}
-			rest = rest[n:]
-			for i := range col {
-				col[i] = v
-			}
+			n = skipUvarints(body[pos:], 1)
 		case encDense:
-			for i := range col {
-				v, n := binary.Uvarint(rest)
-				if n <= 0 {
-					return 0, nil, corruptf("chunk signal %d row %d malformed", s, i)
-				}
-				rest = rest[n:]
-				col[i] = v
-			}
+			n = skipUvarints(body[pos:], v.count)
 		default:
-			return 0, nil, corruptf("chunk signal %d has unknown encoding %d", s, enc)
+			return nil, corruptf("chunk signal %d has unknown encoding %d", s, v.enc[s])
 		}
-		cols[s] = col
+		if n < 0 {
+			return nil, corruptf("chunk signal %d malformed", s)
+		}
+		pos += n
 	}
-	if len(rest) != 0 {
-		return 0, nil, corruptf("chunk has %d trailing bytes", len(rest))
+	if pos != len(body) {
+		return nil, corruptf("chunk has %d trailing bytes", len(body)-pos)
 	}
-	return start, cols, nil
+	return v, nil
+}
+
+// skipUvarints returns the byte length of the first k uvarints in b, or -1
+// when b holds fewer than k or one of them overflows 64 bits — exactly the
+// inputs binary.Uvarint rejects.
+func skipUvarints(b []byte, k int) int {
+	i, run := 0, 0
+	for k > 0 {
+		if i == len(b) {
+			return -1
+		}
+		c := b[i]
+		i++
+		if c >= 0x80 {
+			if run++; run == binary.MaxVarintLen64 {
+				return -1
+			}
+			continue
+		}
+		if run == binary.MaxVarintLen64-1 && c > 1 {
+			return -1
+		}
+		run = 0
+		k--
+	}
+	return i
+}
+
+// col returns signal s's column, decoding it on first use. The slice is
+// shared with later calls; callers must not modify it.
+func (v *chunkView) col(s int) []uint64 {
+	if c := v.cols[s]; c != nil {
+		return c
+	}
+	c := make([]uint64, v.count)
+	b := v.body[v.off[s]:]
+	if v.enc[s] == encConst {
+		x, _ := binary.Uvarint(b)
+		for i := range c {
+			c[i] = x
+		}
+	} else {
+		for i := range c {
+			x, n := binary.Uvarint(b)
+			c[i], b = x, b[n:]
+		}
+	}
+	v.cols[s] = c
+	return c
+}
+
+// decodeChunk parses a chunk file and decodes every column. Every failure
+// wraps ErrCorrupt.
+func decodeChunk(data []byte, nsig int) (start uint64, cols [][]uint64, err error) {
+	v, err := parseChunk(data, nsig)
+	if err != nil {
+		return 0, nil, err
+	}
+	cols = make([][]uint64, nsig)
+	for s := range cols {
+		cols[s] = v.col(s)
+	}
+	return v.start, cols, nil
 }
 
 // --- index encoding ---------------------------------------------------------

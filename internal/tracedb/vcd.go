@@ -34,13 +34,13 @@ func (r *Reader) WriteVCD(w io.Writer, from, to uint64) error {
 	sw := vcd.NewStream(w, r.meta.Design, sigs)
 	for cyc := from; cyc <= to; cyc++ {
 		i, _ := r.chunkAt(cyc)
-		cols, err := r.loadChunk(i)
+		v, err := r.loadChunk(i)
 		if err != nil {
 			return err
 		}
 		off := cyc - r.chunks[i].Start
 		if err := sw.Sample(cyc, func(s int) bits.Bits {
-			return bits.New(r.meta.Signals[s].Width, cols[s][off])
+			return bits.New(r.meta.Signals[s].Width, v.col(s)[off])
 		}); err != nil {
 			return err
 		}

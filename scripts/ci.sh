@@ -59,6 +59,12 @@ echo "== race: trace store + DAP — chunked recording, queries, time travel"
 go test -race ./internal/tracedb ./internal/dap
 go test -race -run 'TestTrace|TestForkDurable' ./internal/server
 
+echo "== race: compiled predicates, row reads, trace queries, minted ids"
+# Breakpoint and query predicates against the interpreter probe, RowReader
+# parity on every engine, indexed queries against brute-force replay, and
+# create ids minted by daemons sharing a store, under the race detector.
+go test -race -run 'Predicate|RowReader|Query|CreateID' ./internal/debug ./internal/tracedb ./internal/server ./internal/sim
+
 echo "== fuzz smoke (5s per target)"
 go test ./internal/lang -run='^$' -fuzz='^FuzzLexer$' -fuzztime=5s
 go test ./internal/lang -run='^$' -fuzz='^FuzzParser$' -fuzztime=5s
@@ -69,6 +75,7 @@ go test ./internal/difftest -run='^$' -fuzz='^FuzzDifftest$' -fuzztime=5s
 go test ./internal/sim -run='^$' -fuzz='^FuzzSnapshotUnmarshal$' -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz='^FuzzServerRequest$' -fuzztime=5s
 go test ./internal/tracedb -run='^$' -fuzz='^FuzzParseQuery$' -fuzztime=5s
+go test ./internal/debug -run='^$' -fuzz='^FuzzPredicate$' -fuzztime=5s
 
 echo "== kdiff generative sweep (fixed seeds, all engines, shrink on failure)"
 # Every engine in the matrix must track the reference interpreter in
