@@ -6,6 +6,7 @@ import (
 	"cuttlego/internal/ast"
 	"cuttlego/internal/bits"
 	"cuttlego/internal/diag"
+	"cuttlego/internal/gomodel"
 	"cuttlego/internal/interp"
 	"cuttlego/internal/lang"
 	"cuttlego/internal/sim"
@@ -46,8 +47,10 @@ func CompileCondition(design *ast.Design, src string) (func(sim.Engine) bool, er
 }
 
 // Predicate is a breakpoint or trace-query condition compiled once into a
-// tree of closures over register payloads. Conditions are effect-free, so
-// evaluation needs no rule log: reads at either port observe the row.
+// tree of closures over register payloads, plus the same condition as a
+// condition-VM program for servo programs (Code). Conditions are
+// effect-free, so evaluation needs no rule log: reads at either port
+// observe the row. A Predicate is a sim.Cond.
 type Predicate struct {
 	// Expr is the parsed, type-checked condition.
 	Expr *ast.Node
@@ -55,9 +58,15 @@ type Predicate struct {
 	// looks at no other slot of its row.
 	Reads []int
 
-	fn  pfn
-	loc []uint64 // let-bound locals, reused by every Eval
+	fn   pfn
+	loc  []uint64 // let-bound locals, reused by every Eval
+	code []uint64
 }
+
+// Code returns the condition as a program for the condition VM
+// (gomodel.EncodeCondition), which native-tier engines evaluate in the
+// simulator subprocess.
+func (p *Predicate) Code() []uint64 { return p.code }
 
 // Eval evaluates the condition over row, where row[i] is the payload of
 // register i in declaration order. Only the slots in Reads need be filled.
@@ -96,8 +105,12 @@ func CompileExpr(design *ast.Design, expr *ast.Node) (_ *Predicate, err error) {
 	if w != 1 {
 		return nil, fmt.Errorf("condition must be 1 bit, got %d", w)
 	}
+	code, err := gomodel.EncodeCondition(design, expr)
+	if err != nil {
+		return nil, err
+	}
 	c := &predCompiler{d: design, read: make([]bool, len(design.Registers))}
-	p := &Predicate{Expr: expr, fn: c.compile(expr)}
+	p := &Predicate{Expr: expr, fn: c.compile(expr), code: code}
 	p.loc = make([]uint64, c.nloc)
 	for i, r := range c.read {
 		if r {

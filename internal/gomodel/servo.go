@@ -1,6 +1,7 @@
 package gomodel
 
 import (
+	_ "embed"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -40,17 +41,38 @@ import (
 //	'S' snapshot (empty)          -> KSNP v2 bytes
 //	'R' restore  KSNP v2 bytes    -> (empty)
 //	'f' profile  (empty)          -> nrules x (u64 attempts, commits, skips)
+//	'u' run-until (see below)     -> (see below)
 //	'q' quit     (empty)          -> (empty), then exit 0
+//
+// Run-until runs up to n cycles and evaluates stop conditions, programs
+// for the condition VM (condvm.go, emitted into the servo verbatim), after
+// each one; it stops after the first cycle at which one holds. Payload:
+//
+//	u64 n | u8 flags (bit 0: record rows) | u32 nconds |
+//	nconds x (u32 nwords | nwords x u64 program)
+//
+// Reply: u64 cycleCount | fired bitmap | u64 cycles run | u32 index of the
+// condition that held (0xffffffff: none) | u32 nentries | nentries x (u64
+// repeat | nregs x u64 row) | nregs x u64 final state. When recording, the
+// entries hold one row per cycle run, in order, the first for cycle
+// cycleCount-run+1; an activity-tier fixed point sends its remaining
+// cycles as the repeat count of its row rather than as copies. Without
+// recording there are no entries. Version 2 of the protocol added 'u'.
 const (
 	// ProtocolVersion is the servo wire protocol version; the handshake
 	// carries it and the supervisor rejects mismatches.
-	ProtocolVersion = 1
+	ProtocolVersion = 2
 
 	// EmitterVersion changes whenever the generated code's observable
 	// behavior can change; it is part of the native tier's compile-cache
 	// key, so stale binaries miss rather than lie.
-	EmitterVersion = "gomodel-servo/1"
+	EmitterVersion = "gomodel-servo/2"
 )
+
+// condVMSource is condvm.go, whose body every servo program carries.
+//
+//go:embed condvm.go
+var condVMSource string
 
 // Bindings supply the Go half of a design's external world so it can be
 // serialized into the emitted program: implementations for the design's
@@ -148,6 +170,12 @@ func (g *gen) emitServoProgram() {
 	g.runtimeHelpers()
 	g.line("")
 	g.servoHelpers()
+	g.line("")
+	body, ok := strings.CutPrefix(condVMSource, "package gomodel\n")
+	if !ok {
+		panic("gomodel: condvm.go must open with its package clause")
+	}
+	g.sb.WriteString(strings.TrimLeft(body, "\n"))
 	g.extFuns()
 	g.afterCycleFunc()
 
@@ -160,6 +188,8 @@ func (g *gen) emitServoProgram() {
 	g.cycleFunc()
 	g.line("")
 	g.stepFunc()
+	g.line("")
+	g.runUntilFunc()
 	g.line("")
 	g.snapFuncs()
 	g.line("")
@@ -281,6 +311,120 @@ func (g *gen) stepFunc() {
 	g.line("}")
 	g.indent--
 	g.line("}")
+}
+
+// runUntilFunc emits runUntil, the run-until request's body: stepN's loop
+// with the stop conditions evaluated, and the row recorded, after every
+// cycle. At an activity-tier fixed point no condition can change value, so
+// the remaining cycles are fast-forwarded as stepN does and recorded as a
+// repeat count.
+func (g *gen) runUntilFunc() {
+	fbLen := (len(g.d.Rules) + 7) / 8
+	moved, fixed := "\tcycle()", ""
+	if g.activity {
+		moved = `	moved := cycle()`
+		fixed = `
+		if !moved && !benchDirty {
+			k := n - ran
+			cycles += k
+			ran += k
+			if record {
+				binary.LittleEndian.PutUint64(resp[len(resp)-8-8*len(state):], 1+k)
+			}
+			break
+		}`
+	}
+	gen := ""
+	if g.activity {
+		gen = `
+		if benchDirty {
+			gen++
+		}`
+	}
+	g.rawBlock(fmt.Sprintf(`// untilCond is one stop condition of a run-until request.
+type untilCond struct{ prog, stk, loc []uint64 }
+
+// untilResp is the run-until reply buffer, reused between requests.
+var untilResp []byte
+
+// runUntil serves a run-until request, returning the reply payload or an
+// error message.
+func runUntil(payload []byte) ([]byte, string) {
+	if len(payload) < 13 {
+		return nil, "run-until: short payload"
+	}
+	n := binary.LittleEndian.Uint64(payload)
+	record := payload[8]&1 != 0
+	nc := binary.LittleEndian.Uint32(payload[9:])
+	rest := payload[13:]
+	var conds []untilCond
+	for k := uint32(0); k < nc; k++ {
+		if len(rest) < 4 {
+			return nil, "run-until: truncated condition"
+		}
+		nw := uint64(binary.LittleEndian.Uint32(rest))
+		rest = rest[4:]
+		if uint64(len(rest)) < 8*nw {
+			return nil, "run-until: truncated condition"
+		}
+		prog := make([]uint64, nw)
+		for i := range prog {
+			prog[i] = binary.LittleEndian.Uint64(rest[8*i:])
+		}
+		rest = rest[8*nw:]
+		stack, locals, ok := vmCheck(prog, len(state))
+		if !ok {
+			return nil, "run-until: malformed condition program"
+		}
+		conds = append(conds, untilCond{prog, make([]uint64, stack), make([]uint64, locals)})
+	}
+	if len(rest) != 0 {
+		return nil, "run-until: trailing bytes"
+	}
+	const hdr = 8 + %[1]d + 8 + 4 + 4
+	resp := append(untilResp[:0], make([]byte, hdr)...)
+	var ran uint64
+	var entries uint32
+	hit := ^uint32(0)
+	for ran < n {
+		benchDirty = false
+	%[2]s
+		afterCycle()%[4]s
+		cycles++
+		ran++
+		if record {
+			resp = binary.LittleEndian.AppendUint64(resp, 1)
+			for _, v := range state {
+				resp = binary.LittleEndian.AppendUint64(resp, v)
+			}
+			entries++
+		}
+		for k := range conds {
+			c := &conds[k]
+			if vmEval(c.prog, state[:], c.stk, c.loc) != 0 {
+				hit = uint32(k)
+				break
+			}
+		}
+		if hit != ^uint32(0) {
+			break
+		}%[3]s
+	}
+	for _, v := range state {
+		resp = binary.LittleEndian.AppendUint64(resp, v)
+	}
+	binary.LittleEndian.PutUint64(resp, cycles)
+	for i, f := range fired {
+		if f {
+			resp[8+i>>3] |= 1 << (i & 7)
+		}
+	}
+	binary.LittleEndian.PutUint64(resp[8+%[1]d:], ran)
+	binary.LittleEndian.PutUint32(resp[16+%[1]d:], hit)
+	binary.LittleEndian.PutUint32(resp[20+%[1]d:], entries)
+	untilResp = resp
+	return resp, ""
+}`, fbLen, moved, fixed, gen), 0)
 }
 
 // snapFuncs emits the KSNP v2 encoder and decoder (the same wire format
@@ -499,6 +643,15 @@ func (g *gen) servoMain() {
 	g.line("\tresp = binary.LittleEndian.AppendUint64(resp, profAttempt[i])")
 	g.line("\tresp = binary.LittleEndian.AppendUint64(resp, profCommit[i])")
 	g.line("\tresp = binary.LittleEndian.AppendUint64(resp, profSkip[i])")
+	g.line("}")
+	g.line("reply(out, 'K', resp)")
+	g.indent--
+	g.line("case 'u':")
+	g.indent++
+	g.line("resp, msg := runUntil(payload)")
+	g.line("if msg != \"\" {")
+	g.line("\treplyErr(out, msg)")
+	g.line("\tcontinue")
 	g.line("}")
 	g.line("reply(out, 'K', resp)")
 	g.indent--

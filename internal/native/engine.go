@@ -2,6 +2,7 @@ package native
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -49,7 +50,9 @@ type RuleProfile struct {
 //
 // Register reads are served from a local mirror refreshed with one peek-all
 // round trip after each step, so digesting the full architectural state
-// costs one RPC, not one per register.
+// costs one RPC, not one per register. A run-until batch (RunUntil) brings
+// the final state back with it, so after one the mirror, and snapshots
+// built from it, cost no round trip at all.
 type Engine struct {
 	design  *ast.Design
 	key     string
@@ -73,12 +76,20 @@ type Engine struct {
 	fired    []byte
 	mirror   []uint64
 	mirrorOK bool
+
+	// rbuf holds the last response frame, wbuf the run-until request being
+	// built and hdr a frame header; all are reused, so a steady stream of
+	// batches allocates nothing. row is RunUntil's decoded row.
+	rbuf, wbuf []byte
+	hdr        [5]byte
+	row        []uint64
 }
 
 var (
 	_ sim.Engine      = (*Engine)(nil)
 	_ sim.Snapshotter = (*Engine)(nil)
 	_ sim.Advancer    = (*Engine)(nil)
+	_ sim.UntilRunner = (*Engine)(nil)
 )
 
 // Launch spawns a compiled servo binary and performs the handshake,
@@ -223,10 +234,10 @@ func (e *Engine) Dead() error {
 }
 
 func (e *Engine) writeFrame(op byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
+	hdr := e.hdr[:]
+	binary.LittleEndian.PutUint32(hdr, uint32(1+len(payload)))
 	hdr[4] = op
-	if _, err := e.stdin.Write(hdr[:]); err != nil {
+	if _, err := e.stdin.Write(hdr); err != nil {
 		return err
 	}
 	if _, err := e.stdin.Write(payload); err != nil {
@@ -235,16 +246,21 @@ func (e *Engine) writeFrame(op byte, payload []byte) error {
 	return e.stdin.Flush()
 }
 
+// readResp reads one response frame into the engine's reused buffer: the
+// payload it returns is valid until the next round trip.
 func (e *Engine) readResp() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(e.out, hdr[:]); err != nil {
+	hdr := e.hdr[:4]
+	if _, err := io.ReadFull(e.out, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
+	if cap(e.rbuf) < int(n) {
+		e.rbuf = make([]byte, n)
+	}
+	buf := e.rbuf[:n]
 	if _, err := io.ReadFull(e.out, buf); err != nil {
 		return nil, err
 	}
@@ -306,6 +322,121 @@ func (e *Engine) StepN(n uint64) error {
 	return nil
 }
 
+// coded is a stop condition that also carries its condition-VM program
+// (gomodel.EncodeCondition): the form the subprocess evaluates.
+// debug.Predicate is one.
+type coded interface {
+	sim.Cond
+	Code() []uint64
+}
+
+// maxBatchBytes bounds the rows one recording run-until reply carries, so
+// a long run streams back in several frames instead of one huge one.
+const maxBatchBytes = 1 << 24
+
+// RunUntil implements sim.UntilRunner: the subprocess runs the cycles,
+// evaluates the conditions after each and stops at the first that holds,
+// so a batch costs one round trip, rows included. The batch's final state
+// refreshes the mirror. Conditions without a program fall back to
+// sim.StepUntil, one cycle per round trip.
+func (e *Engine) RunUntil(ctx context.Context, n uint64, w *sim.Watch) (ran uint64, hit int, err error) {
+	for _, c := range w.Conds {
+		if _, ok := c.(coded); !ok {
+			return sim.StepUntil(ctx, e, nil, n, w)
+		}
+	}
+	batch := n
+	if w.OnRow != nil {
+		batch = max(1, maxBatchBytes/uint64(8+8*len(e.mirror)))
+	}
+	for ran < n {
+		select {
+		case <-ctx.Done():
+			return ran, -1, ctx.Err()
+		default:
+		}
+		got, hit, err := e.runBatch(min(n-ran, batch), w)
+		ran += got
+		if err != nil || hit >= 0 {
+			return ran, hit, err
+		}
+	}
+	return ran, -1, nil
+}
+
+// runBatch is one run-until round trip of at most n cycles.
+func (e *Engine) runBatch(n uint64, w *sim.Watch) (uint64, int, error) {
+	e.mu.Lock()
+	p := binary.LittleEndian.AppendUint64(e.wbuf[:0], n)
+	if w.OnRow != nil {
+		p = append(p, 1)
+	} else {
+		p = append(p, 0)
+	}
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(w.Conds)))
+	for _, c := range w.Conds {
+		code := c.(coded).Code()
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(code)))
+		for _, word := range code {
+			p = binary.LittleEndian.AppendUint64(p, word)
+		}
+	}
+	e.wbuf = p
+	resp, err := e.callLocked('u', p)
+	if err != nil {
+		e.mu.Unlock()
+		return 0, -1, err
+	}
+	nregs, fb := len(e.mirror), len(e.fired)
+	hdr := 8 + fb + 8 + 4 + 4
+	if len(resp) < hdr+8*nregs {
+		e.mu.Unlock()
+		return 0, -1, e.fail(fmt.Errorf("run-until: response length %d", len(resp)))
+	}
+	cycles := binary.LittleEndian.Uint64(resp)
+	ran := binary.LittleEndian.Uint64(resp[8+fb:])
+	hit := int(int32(binary.LittleEndian.Uint32(resp[16+fb:])))
+	entries := int(binary.LittleEndian.Uint32(resp[20+fb:]))
+	rowLen := 8 + 8*nregs
+	rows := resp[hdr : len(resp)-8*nregs]
+	var sum uint64
+	for i := 0; i+rowLen <= len(rows); i += rowLen {
+		sum += binary.LittleEndian.Uint64(rows[i:])
+	}
+	if len(resp) != hdr+entries*rowLen+8*nregs || ran > n || hit < -1 || hit >= len(w.Conds) ||
+		hit >= 0 && ran == 0 || w.OnRow != nil && sum != ran {
+		e.mu.Unlock()
+		return 0, -1, e.fail(fmt.Errorf("run-until: malformed response (%d bytes, %d cycles, hit %d, %d rows)", len(resp), ran, hit, sum))
+	}
+	e.cycles = cycles
+	copy(e.fired, resp[8:8+fb])
+	final := resp[len(resp)-8*nregs:]
+	for i := range e.mirror {
+		e.mirror[i] = binary.LittleEndian.Uint64(final[8*i:])
+	}
+	e.mirrorOK = true
+	e.mu.Unlock()
+
+	if w.OnRow != nil {
+		if len(e.row) != nregs {
+			e.row = make([]uint64, nregs)
+		}
+		cyc := cycles - ran
+		for ; len(rows) > 0; rows = rows[rowLen:] {
+			for i := range e.row {
+				e.row[i] = binary.LittleEndian.Uint64(rows[8+8*i:])
+			}
+			for k := binary.LittleEndian.Uint64(rows); k > 0; k-- {
+				cyc++
+				if err := w.OnRow(cyc, e.row); err != nil {
+					return ran, -1, err
+				}
+			}
+		}
+	}
+	return ran, hit, nil
+}
+
 // PeekAll refreshes the local register mirror with one round trip.
 func (e *Engine) PeekAll() ([]uint64, error) {
 	e.mu.Lock()
@@ -351,10 +482,20 @@ func (e *Engine) Poke(i int, v uint64) error {
 	return nil
 }
 
-// TakeSnapshot captures the subprocess state as a sim.Snapshot.
+// TakeSnapshot captures the subprocess state as a sim.Snapshot. While the
+// mirror is current (after a run-until batch or a state read) the snapshot
+// is built from it, since registers plus the cycle count are the whole
+// KSNP payload; otherwise it costs one round trip.
 func (e *Engine) TakeSnapshot() (sim.Snapshot, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.mirrorOK && e.dead == nil && !e.closed {
+		s := sim.Snapshot{Cycle: e.cycles, Regs: make([]bits.Bits, len(e.mirror))}
+		for i, r := range e.design.Registers {
+			s.Regs[i] = bits.New(r.Type.BitWidth(), e.mirror[i])
+		}
+		return s, nil
+	}
 	resp, err := e.callLocked('S', nil)
 	if err != nil {
 		return sim.Snapshot{}, err

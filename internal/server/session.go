@@ -94,13 +94,12 @@ type session struct {
 
 	// rec, while non-nil, records every executed cycle into the session's
 	// on-disk trace store (row c = register values at cycle c). Guarded by
-	// mu; stepping drops to single-cycle chunks while recording, exactly as
-	// it does for breakpoints.
+	// mu; stepping hands it every row of a chunk (see stepLocked).
 	rec      *tracedb.Recorder
 	traceDir string
 	traceFS  faultinj.FS
-	// row is the register row breakpoints and the recorder read, filled
-	// once per cycle while either is armed and reused.
+	// row is the reused register row the recorder's first row after a
+	// start or a rewind is read into.
 	row []uint64
 
 	// lazy, in the lazy phase, is the copy-on-write state of a fork that
@@ -401,19 +400,21 @@ func (s *session) run(ctx context.Context, n uint64) (resp StepResponse, err err
 
 // stepLocked is step's body; observe, when non-nil, runs after every cycle
 // (the trace stream). Callers hold mu.
+//
+// Cycles run in bookkeeping chunks: up to the next snapshot boundary on a
+// durable session, at most 1024 cycles between ctx checks, and single
+// cycles only for an observer. Armed breakpoints and the recorder ride
+// inside the chunk: one sim.RunUntil call stops after the first cycle at
+// which a condition holds and hands the recorder every row, so hits,
+// fired flags, profiles and rows match stepping one cycle at a time.
 func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error) (uint64, string, error) {
 	s.maybePromoteLocked()
 	start := s.eng.CycleCount()
+	w := s.watchLocked()
 	var i uint64
 	for i < n {
-		// Batch cycles between bookkeeping points: the next snapshot
-		// boundary, but at most 1024 cycles between ctx checks, and single
-		// cycles when a breakpoint or observer watches every cycle.
-		chunk := n - i
-		if chunk > 1024 {
-			chunk = 1024
-		}
-		if len(s.conds) > 0 || observe != nil || s.rec != nil {
+		chunk := min(n-i, 1024)
+		if observe != nil {
 			chunk = 1
 		} else if s.durable() {
 			cyc := s.eng.CycleCount()
@@ -426,7 +427,7 @@ func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error
 			return i, "timeout", nil
 		default:
 		}
-		ran, err := sim.RunContext(ctx, s.eng, s.tb, chunk)
+		ran, hit, err := sim.RunUntil(ctx, s.eng, s.tb, chunk, w)
 		i += ran
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -436,8 +437,10 @@ func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error
 				// The promoted subprocess died. The session's truth is the
 				// snapshot ring: fall back to the in-process engine, replay
 				// to the cycle the client was already credited with, and
-				// keep stepping as if nothing happened. When demotion
-				// itself fails, the original crash error propagates and the
+				// keep stepping as if nothing happened. A batch that died
+				// in flight credited no cycles and recorded no rows, so the
+				// recording resumes without a gap. When demotion itself
+				// fails, the original crash error propagates and the
 				// session is quarantined — honest and sticky.
 				if s.demoteLocked(ctx, start+i) {
 					continue
@@ -448,27 +451,38 @@ func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error
 		if s.eng.CycleCount()%snapInterval == 0 {
 			s.recordSnapshot()
 		}
-		var row []uint64
-		if s.rec != nil || len(s.conds) > 0 {
-			row = s.rowLocked()
-		}
-		if s.rec != nil {
-			if err := s.rec.Append(s.eng.CycleCount(), row); err != nil {
-				return i, "", fmt.Errorf("trace recording: %w", err)
-			}
-		}
 		if observe != nil {
 			if err := observe(); err != nil {
 				return i, "", err
 			}
 		}
-		for _, c := range s.conds {
-			if c.pred.Eval(row) {
-				return i, fmt.Sprintf("condition %q at cycle %d", c.src, s.eng.CycleCount()), nil
-			}
+		if hit >= 0 {
+			return i, fmt.Sprintf("condition %q at cycle %d", s.conds[hit].src, s.eng.CycleCount()), nil
 		}
 	}
 	return i, "", nil
+}
+
+// watchLocked is what stepping checks and records besides simulating: the
+// armed breakpoints and, while recording, the recorder; nil when neither
+// is armed. Callers hold mu.
+func (s *session) watchLocked() *sim.Watch {
+	if len(s.conds) == 0 && s.rec == nil {
+		return nil
+	}
+	w := &sim.Watch{}
+	for _, c := range s.conds {
+		w.Conds = append(w.Conds, c.pred)
+	}
+	if rec := s.rec; rec != nil {
+		w.OnRow = func(cycle uint64, row []uint64) error {
+			if err := rec.Append(cycle, row); err != nil {
+				return fmt.Errorf("trace recording: %w", err)
+			}
+			return nil
+		}
+	}
+	return w
 }
 
 // nativeDownLocked reports whether the transparently promoted subprocess

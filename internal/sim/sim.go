@@ -168,6 +168,96 @@ func RunContext(ctx context.Context, e Engine, tb Testbench, n uint64) (cycles u
 	return i, nil
 }
 
+// Cond is a stop condition RunUntil checks after every cycle, over the
+// register row: payloads in declaration order. Compiled debugger
+// predicates (debug.Predicate) are Conds.
+type Cond interface {
+	Eval(row []uint64) bool
+}
+
+// Watch is what RunUntil does besides simulating: the stop conditions, in
+// priority order, and OnRow, which, when non-nil, receives every executed
+// cycle's count and register row (the trace recorder). The row is reused
+// between calls, and OnRow must not drive the engine.
+type Watch struct {
+	Conds []Cond
+	OnRow func(cycle uint64, row []uint64) error
+
+	row []uint64 // scratch for StepUntil, grown on first use
+}
+
+// UntilRunner is implemented by engines that run RunUntil's loop
+// themselves, such as the native tier, whose simulator subprocess checks
+// the conditions and streams the rows back in one round trip per batch. It
+// must be observably identical to StepUntil with no testbench.
+type UntilRunner interface {
+	RunUntil(ctx context.Context, n uint64, w *Watch) (ran uint64, hit int, err error)
+}
+
+// RunUntil runs at most n cycles under the testbench and stops after the
+// first cycle at which one of w's conditions holds. It returns the cycles
+// run and the index of the condition that held, or -1. Without conditions
+// and rows to deliver it is RunContext; engines implementing UntilRunner
+// run the loop themselves when no host-side testbench is attached.
+func RunUntil(ctx context.Context, e Engine, tb Testbench, n uint64, w *Watch) (ran uint64, hit int, err error) {
+	if w == nil || len(w.Conds) == 0 && w.OnRow == nil {
+		ran, err = RunContext(ctx, e, tb, n)
+		return ran, -1, err
+	}
+	if u, ok := e.(UntilRunner); ok && tb == nil {
+		hit = -1
+		defer diag.Guard("sim: run until", &err)
+		return u.RunUntil(ctx, n, w)
+	}
+	return StepUntil(ctx, e, tb, n, w)
+}
+
+// StepUntil is RunUntil's loop for any RowReader engine: per cycle,
+// BeforeCycle, Cycle, AfterCycle, one ReadRow, OnRow, then the conditions,
+// with RunContext's cancellation checks. Fired flags, profiles and rows
+// match stepping one cycle at a time; the count of cycles run stays exact
+// when the engine panics mid-run.
+func StepUntil(ctx context.Context, e Engine, tb Testbench, n uint64, w *Watch) (ran uint64, hit int, err error) {
+	hit = -1
+	defer diag.Guard("sim: run until", &err)
+	if tb == nil {
+		tb = NopBench{}
+	}
+	rr := e.(RowReader)
+	if nregs := len(e.Design().Registers); len(w.row) != nregs {
+		w.row = make([]uint64, nregs)
+	}
+	row := w.row
+	for ran < n {
+		if ran%ctxCheckInterval == 0 {
+			select {
+			case <-ctx.Done():
+				return ran, -1, ctx.Err()
+			default:
+			}
+		}
+		tb.BeforeCycle(e)
+		e.Cycle()
+		more := tb.AfterCycle(e)
+		ran++
+		rr.ReadRow(row)
+		if w.OnRow != nil {
+			if err := w.OnRow(e.CycleCount(), row); err != nil {
+				return ran, -1, err
+			}
+		}
+		for i, c := range w.Conds {
+			if c.Eval(row) {
+				return ran, i, nil
+			}
+		}
+		if !more {
+			break
+		}
+	}
+	return ran, -1, nil
+}
+
 // StateOf captures every register of an engine, in declaration order. Used
 // by cross-engine equivalence tests.
 func StateOf(e Engine) []bits.Bits {
