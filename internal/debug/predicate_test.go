@@ -8,7 +8,6 @@ import (
 	"cuttlego/internal/bench"
 	"cuttlego/internal/cuttlesim"
 	"cuttlego/internal/difftest"
-	"cuttlego/internal/gomodel"
 	"cuttlego/internal/interp"
 	"cuttlego/internal/lang"
 	"cuttlego/internal/sim"
@@ -43,10 +42,10 @@ func probe(t testing.TB, d *ast.Design, expr *ast.Node) func(sim.Engine) bool {
 }
 
 // checkPredicate runs inst for cycles cycles and checks, before the first
-// and after every cycle, that the compiled predicate and its condition-VM
-// program (the form servo programs run) agree with the probe — once over
-// the full row, and once over a row holding only the read set (every other
-// slot poisoned), which checks that Reads is complete.
+// and after every cycle, that the compiled predicate (a condition-VM
+// program, the form servo programs also run) agrees with the probe — once
+// over the full row, and once over a row holding only the read set (every
+// other slot poisoned), which checks that Reads is complete.
 func checkPredicate(t testing.TB, inst bench.Instance, expr *ast.Node, cycles int) (hits int) {
 	t.Helper()
 	d := inst.Design
@@ -54,10 +53,6 @@ func checkPredicate(t testing.TB, inst bench.Instance, expr *ast.Node, cycles in
 	p, err := CompileExpr(d, expr.Clone())
 	if err != nil {
 		t.Fatalf("CompileExpr: %v", err)
-	}
-	vm, err := gomodel.NewCondition(p.Code(), len(d.Registers))
-	if err != nil {
-		t.Fatalf("%s: %v\ncondition: %s", d.Name, err, show(expr))
 	}
 	e, err := cuttlesim.New(d, cuttlesim.Options{Level: cuttlesim.LStatic, Backend: cuttlesim.Closure})
 	if err != nil {
@@ -83,13 +78,6 @@ func checkPredicate(t testing.TB, inst bench.Instance, expr *ast.Node, cycles in
 		}
 		if got := p.Eval(sparse); got != ref {
 			t.Fatalf("%s cycle %d: compiled %v over the read set %v only, interp probe %v\ncondition: %s",
-				d.Name, c, got, p.Reads, ref, show(expr))
-		}
-		if got := vm.Eval(row); got != ref {
-			t.Fatalf("%s cycle %d: condition VM %v, interp probe %v\ncondition: %s", d.Name, c, got, ref, show(expr))
-		}
-		if got := vm.Eval(sparse); got != ref {
-			t.Fatalf("%s cycle %d: condition VM %v over the read set %v only, interp probe %v\ncondition: %s",
 				d.Name, c, got, p.Reads, ref, show(expr))
 		}
 		if ref {
@@ -261,10 +249,9 @@ func TestCompileRejects(t *testing.T) {
 	}
 }
 
-// FuzzPredicate checks compiled conditions, closures and condition-VM
-// programs alike, against the probe over fuzzer-chosen designs and
-// conditions: a generated design, or a catalogue design when pick selects
-// one.
+// FuzzPredicate checks compiled conditions against the probe over
+// fuzzer-chosen designs and conditions: a generated design, or a catalogue
+// design when pick selects one.
 func FuzzPredicate(f *testing.F) {
 	f.Add(uint8(0), int64(1), int64(1))
 	f.Add(uint8(1), int64(7), int64(3))

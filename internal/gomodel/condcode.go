@@ -8,18 +8,21 @@ import (
 )
 
 // EncodeCondition compiles a checked, effect-free condition over d's
-// registers (see debug.CompileExpr, which checks it) into a program for the
-// condition VM (condvm.go), the form in which servo programs evaluate
-// breakpoints. Register reads become row indices in declaration order;
-// let-bound names get the local slot of their nesting depth.
-func EncodeCondition(d *ast.Design, expr *ast.Node) (_ []uint64, err error) {
+// registers (see debug.CompileExpr, which checks it) into a verified
+// program for the condition VM (condvm.go): the one compiled form of a
+// breakpoint or query condition, evaluated in-process by Condition.Eval and
+// in the simulator subprocess by servo programs. Register reads become row
+// indices in declaration order; let-bound names get the local slot of their
+// nesting depth.
+func EncodeCondition(d *ast.Design, expr *ast.Node) (_ *Condition, err error) {
 	defer diag.Guard("gomodel: encode condition", &err)
 	e := &condEncoder{d: d}
 	e.node(expr)
-	if _, _, ok := vmCheck(e.prog, len(d.Registers)); !ok {
+	c, err := NewCondition(e.prog, len(d.Registers))
+	if err != nil {
 		return nil, fmt.Errorf("gomodel: condition encoded to a program the VM rejects")
 	}
-	return e.prog, nil
+	return c, nil
 }
 
 type condEncoder struct {
@@ -182,6 +185,7 @@ func (e *condEncoder) node(n *ast.Node) {
 // host-side twin of what a servo program runs.
 type Condition struct {
 	prog, stk, loc []uint64
+	reads          []int
 }
 
 // NewCondition verifies prog against rows of nregs registers.
@@ -190,8 +194,33 @@ func NewCondition(prog []uint64, nregs int) (*Condition, error) {
 	if !ok {
 		return nil, fmt.Errorf("gomodel: malformed condition program")
 	}
-	return &Condition{prog: prog, stk: make([]uint64, stack), loc: make([]uint64, locals)}, nil
+	c := &Condition{prog: prog, stk: make([]uint64, stack), loc: make([]uint64, locals)}
+	read := make([]bool, nregs)
+	for pc := 0; pc < len(prog); pc++ {
+		switch byte(prog[pc]) {
+		case vmRead:
+			read[prog[pc]>>32] = true
+		case vmConst, vmCase:
+			pc++ // skip the constant word
+		}
+	}
+	for i, r := range read {
+		if r {
+			c.reads = append(c.reads, i)
+		}
+	}
+	return c, nil
 }
 
+// Code returns the program, the form in which the condition travels to a
+// servo program.
+func (c *Condition) Code() []uint64 { return c.prog }
+
+// Reads returns the sorted set of register indices the program reads; Eval
+// looks at no other slot of its row.
+func (c *Condition) Reads() []int { return c.reads }
+
 // Eval runs the program over row (register payloads in declaration order).
+// It allocates nothing and is not safe for concurrent use, since the
+// stack and locals live in the Condition.
 func (c *Condition) Eval(row []uint64) bool { return vmEval(c.prog, row, c.stk, c.loc) != 0 }

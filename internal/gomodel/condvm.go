@@ -1,11 +1,11 @@
 package gomodel
 
-// The condition VM: the evaluator of compiled breakpoint conditions inside
-// servo programs. This file is compiled into package gomodel, so tests and
-// fuzzers run it in-process, and it is emitted verbatim, minus the package
-// clause, into every servo program (servo.go embeds it). It must therefore
-// stay self-contained: no imports, and every identifier starts with "vm" so
-// it cannot collide with the emitted design's names.
+// The condition VM: the evaluator of every compiled breakpoint and trace
+// query condition. This file is compiled into package gomodel, where
+// Condition.Eval runs it in-process, and it is emitted verbatim, minus the
+// package clause, into every servo program (servo.go embeds it). It must
+// therefore stay self-contained: no imports, and every identifier starts
+// with "vm" so it cannot collide with the emitted design's names.
 //
 // A program is a slice of instruction words over a stack of uint64
 // payloads. An instruction word holds the opcode in bits 0-7, a binary

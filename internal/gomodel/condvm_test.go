@@ -20,12 +20,12 @@ func FuzzConditionVM(f *testing.F) {
 		if _, err := d.CheckExpr(expr); err != nil {
 			continue // not 1-bit effect-free conditions are rejected upstream
 		}
-		prog, err := gomodel.EncodeCondition(d, expr)
+		c, err := gomodel.EncodeCondition(d, expr)
 		if err != nil {
 			f.Fatalf("EncodeCondition: %v", err)
 		}
 		var raw []byte
-		for _, w := range prog {
+		for _, w := range c.Code() {
 			raw = binary.LittleEndian.AppendUint64(raw, w)
 		}
 		f.Add(raw, uint64(seed))

@@ -14,9 +14,9 @@ import (
 // The servo emission mode turns the generated program from a batch artifact
 // (simulate -cycles N, print the final state) into a long-lived simulation
 // server: the process speaks a length-prefixed binary protocol over
-// stdin/stdout — batched StepN, peek/poke by register index, KSNP-compatible
-// snapshot in and out, per-rule profiles — so a supervisor (internal/native)
-// can drive a natively compiled model as a sim.Engine. The protocol is
+// stdin/stdout — batched run-until, poke by register index, KSNP-compatible
+// restore, per-rule profiles — so a supervisor (internal/native) can drive
+// a natively compiled model as a sim.Engine. The protocol is
 // deliberately tiny and fully self-contained in the emitted source: the
 // binary has no dependency on this module.
 //
@@ -32,21 +32,20 @@ import (
 // stale or mismatched cache entry can never silently simulate the wrong
 // design.
 //
-// Opcodes:
+// Opcodes (any other is answered with an "unknown opcode" error):
 //
-//	's' step     u64 n            -> u64 cycleCount | fired bitmap
-//	'p' peek     u32 reg index    -> u64 value
+//	'u' run-until (see below)     -> (see below)
 //	'P' poke     u32 index, u64 v -> (empty)
-//	'A' peek-all (empty)          -> nregs x u64 values
-//	'S' snapshot (empty)          -> KSNP v2 bytes
 //	'R' restore  KSNP v2 bytes    -> (empty)
 //	'f' profile  (empty)          -> nrules x (u64 attempts, commits, skips)
-//	'u' run-until (see below)     -> (see below)
 //	'q' quit     (empty)          -> (empty), then exit 0
 //
 // Run-until runs up to n cycles and evaluates stop conditions, programs
 // for the condition VM (condvm.go, emitted into the servo verbatim), after
-// each one; it stops after the first cycle at which one holds. Payload:
+// each one; it stops after the first cycle at which one holds. It is the
+// only way to step and to read state: with no conditions it is a plain
+// step of n cycles, and with n = 0 a read of the cycle count, fired flags
+// and state. Payload:
 //
 //	u64 n | u8 flags (bit 0: record rows) | u32 nconds |
 //	nconds x (u32 nwords | nwords x u64 program)
@@ -57,16 +56,18 @@ import (
 // entries hold one row per cycle run, in order, the first for cycle
 // cycleCount-run+1; an activity-tier fixed point sends its remaining
 // cycles as the repeat count of its row rather than as copies. Without
-// recording there are no entries. Version 2 of the protocol added 'u'.
+// recording there are no entries. Version 2 of the protocol added 'u';
+// version 3 retired step, peek, peek-all and snapshot, which 'u' and the
+// supervisor's register mirror cover.
 const (
 	// ProtocolVersion is the servo wire protocol version; the handshake
 	// carries it and the supervisor rejects mismatches.
-	ProtocolVersion = 2
+	ProtocolVersion = 3
 
 	// EmitterVersion changes whenever the generated code's observable
 	// behavior can change; it is part of the native tier's compile-cache
 	// key, so stale binaries miss rather than lie.
-	EmitterVersion = "gomodel-servo/2"
+	EmitterVersion = "gomodel-servo/3"
 )
 
 // condVMSource is condvm.go, whose body every servo program carries.
@@ -187,11 +188,9 @@ func (g *gen) emitServoProgram() {
 	g.line("")
 	g.cycleFunc()
 	g.line("")
-	g.stepFunc()
-	g.line("")
 	g.runUntilFunc()
 	g.line("")
-	g.snapFuncs()
+	g.snapDecodeFunc()
 	g.line("")
 	g.servoMain()
 }
@@ -281,43 +280,12 @@ func (g *gen) afterCycleFunc() {
 	g.line("}")
 }
 
-// stepFunc emits stepN: n cycles with the embedded testbench, plus the
-// activity tier's quiescence fast-forward (a cycle in which no rule fired
-// and the testbench wrote nothing is a fixed point, so the remaining cycles
-// only advance the counter).
-func (g *gen) stepFunc() {
-	g.line("func stepN(n uint64) {")
-	g.indent++
-	g.line("for i := uint64(0); i < n; i++ {")
-	g.indent++
-	g.line("benchDirty = false")
-	if g.activity {
-		g.line("ran := cycle()")
-		g.line("afterCycle()")
-		g.line("if benchDirty {")
-		g.line("\tgen++")
-		g.line("}")
-		g.line("cycles++")
-		g.line("if !ran && !benchDirty {")
-		g.line("\tcycles += n - i - 1")
-		g.line("\treturn")
-		g.line("}")
-	} else {
-		g.line("cycle()")
-		g.line("afterCycle()")
-		g.line("cycles++")
-	}
-	g.indent--
-	g.line("}")
-	g.indent--
-	g.line("}")
-}
-
-// runUntilFunc emits runUntil, the run-until request's body: stepN's loop
-// with the stop conditions evaluated, and the row recorded, after every
-// cycle. At an activity-tier fixed point no condition can change value, so
-// the remaining cycles are fast-forwarded as stepN does and recorded as a
-// repeat count.
+// runUntilFunc emits runUntil, the run-until request's body: n cycles with
+// the embedded testbench, the stop conditions evaluated, and the row
+// recorded, after every one. On the activity tier a cycle in which no rule
+// fired and the testbench wrote nothing is a fixed point: no condition can
+// change value, so the remaining cycles only advance the counter and are
+// recorded as a repeat count.
 func (g *gen) runUntilFunc() {
 	fbLen := (len(g.d.Rules) + 7) / 8
 	moved, fixed := "\tcycle()", ""
@@ -427,30 +395,11 @@ func runUntil(payload []byte) ([]byte, string) {
 }`, fbLen, moved, fixed, gen), 0)
 }
 
-// snapFuncs emits the KSNP v2 encoder and decoder (the same wire format
-// internal/sim uses, so supervisor-side snapshots restore bit-for-bit).
-func (g *gen) snapFuncs() {
+// snapDecodeFunc emits the KSNP v2 decoder (the wire format internal/sim
+// uses, so supervisor-side snapshots restore bit-for-bit).
+func (g *gen) snapDecodeFunc() {
 	nregs := len(g.d.Registers)
 	g.line("var crcTable = crc32.MakeTable(crc32.Castagnoli)")
-	g.line("")
-	g.line("func snapEncode() []byte {")
-	g.indent++
-	g.line("buf := make([]byte, 0, 16+9*%d)", nregs)
-	g.line("buf = append(buf, 'K', 'S', 'N', 'P')")
-	g.line("buf = binary.LittleEndian.AppendUint16(buf, 2)")
-	g.line("buf = binary.LittleEndian.AppendUint16(buf, 0)")
-	g.line("buf = binary.LittleEndian.AppendUint64(buf, cycles)")
-	g.line("buf = binary.AppendUvarint(buf, %d)", nregs)
-	g.line("for i, v := range state {")
-	g.line("\tw := int(widths[i])")
-	g.line("\tbuf = binary.AppendUvarint(buf, uint64(w))")
-	g.line("\tfor b := 0; b < (w+7)/8; b++ {")
-	g.line("\t\tbuf = append(buf, byte(v>>(8*b)))")
-	g.line("\t}")
-	g.line("}")
-	g.line("return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))")
-	g.indent--
-	g.line("}")
 	g.line("")
 	g.line("// snapDecode replaces the architectural state from KSNP v2 bytes,")
 	g.line("// returning an error message (empty on success). Parking state and")
@@ -520,7 +469,6 @@ func (g *gen) servoMain() {
 	d := g.d
 	nregs := len(d.Registers)
 	nrules := len(d.Rules)
-	fbLen := (nrules + 7) / 8
 	g.line("func readFrame(in *bufio.Reader) (byte, []byte, bool) {")
 	g.line("\tvar hdr [4]byte")
 	g.line("\tif _, err := io.ReadFull(in, hdr[:]); err != nil {")
@@ -571,37 +519,6 @@ func (g *gen) servoMain() {
 	g.line("\treturn")
 	g.line("}")
 	g.line("switch op {")
-	g.line("case 's':")
-	g.indent++
-	g.line("if len(payload) != 8 {")
-	g.line("\treplyErr(out, \"step: want 8-byte payload\")")
-	g.line("\tcontinue")
-	g.line("}")
-	g.line("stepN(binary.LittleEndian.Uint64(payload))")
-	g.line("resp := make([]byte, 0, 8+%d)", fbLen)
-	g.line("resp = binary.LittleEndian.AppendUint64(resp, cycles)")
-	g.line("var fb [%d]byte", fbLen)
-	g.line("for i, f := range fired {")
-	g.line("\tif f {")
-	g.line("\t\tfb[i>>3] |= 1 << (i & 7)")
-	g.line("\t}")
-	g.line("}")
-	g.line("resp = append(resp, fb[:]...)")
-	g.line("reply(out, 'K', resp)")
-	g.indent--
-	g.line("case 'p':")
-	g.indent++
-	g.line("if len(payload) != 4 {")
-	g.line("\treplyErr(out, \"peek: want 4-byte payload\")")
-	g.line("\tcontinue")
-	g.line("}")
-	g.line("i := binary.LittleEndian.Uint32(payload)")
-	g.line("if i >= %d {", nregs)
-	g.line("\treplyErr(out, \"peek: register index out of range\")")
-	g.line("\tcontinue")
-	g.line("}")
-	g.line("reply(out, 'K', binary.LittleEndian.AppendUint64(nil, state[i]))")
-	g.indent--
 	g.line("case 'P':")
 	g.indent++
 	g.line("if len(payload) != 12 {")
@@ -615,18 +532,6 @@ func (g *gen) servoMain() {
 	g.line("}")
 	g.line("bset(int(i), binary.LittleEndian.Uint64(payload[4:]))")
 	g.line("reply(out, 'K', nil)")
-	g.indent--
-	g.line("case 'A':")
-	g.indent++
-	g.line("resp := make([]byte, 0, 8*%d)", nregs)
-	g.line("for _, v := range state {")
-	g.line("\tresp = binary.LittleEndian.AppendUint64(resp, v)")
-	g.line("}")
-	g.line("reply(out, 'K', resp)")
-	g.indent--
-	g.line("case 'S':")
-	g.indent++
-	g.line("reply(out, 'K', snapEncode())")
 	g.indent--
 	g.line("case 'R':")
 	g.indent++

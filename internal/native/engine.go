@@ -43,16 +43,17 @@ type RuleProfile struct {
 }
 
 // Engine supervises one compiled simulator subprocess and exposes it as a
-// sim.Engine (plus sim.Snapshotter and sim.Advancer). The error-returning
-// methods (StepN, Peek, ...) are the primary API; the sim.Engine methods
-// wrap them and panic on subprocess failure, which upstream diag.Guard
-// boundaries convert into honest *diag.Internal errors.
+// sim.Engine (plus sim.Snapshotter, sim.Advancer and sim.UntilRunner). The
+// error-returning methods (StepN, PeekAll, TakeSnapshot, ...) are the
+// primary API; the sim.Engine methods wrap them and panic on subprocess
+// failure, which upstream diag.Guard boundaries convert into honest
+// *diag.Internal errors.
 //
-// Register reads are served from a local mirror refreshed with one peek-all
-// round trip after each step, so digesting the full architectural state
-// costs one RPC, not one per register. A run-until batch (RunUntil) brings
-// the final state back with it, so after one the mirror, and snapshots
-// built from it, cost no round trip at all.
+// Every step is a run-until batch, whose reply carries the final state, so
+// the local register mirror is always current: register reads, row reads
+// and snapshots cost no round trip. The mirror is filled from a subprocess
+// reply at launch and after every restore, never from the caller's data,
+// and a dead or closed engine fails every read instead of serving it.
 type Engine struct {
 	design  *ast.Design
 	key     string
@@ -69,13 +70,12 @@ type Engine struct {
 	waitDone chan struct{}
 	waitErr  error
 
-	mu       sync.Mutex
-	dead     error
-	closed   bool
-	cycles   uint64
-	fired    []byte
-	mirror   []uint64
-	mirrorOK bool
+	mu     sync.Mutex
+	dead   error
+	closed bool
+	cycles uint64
+	fired  []byte
+	mirror []uint64
 
 	// rbuf holds the last response frame, wbuf the run-until request being
 	// built and hdr a frame header; all are reused, so a steady stream of
@@ -146,6 +146,11 @@ func launch(d *ast.Design, res BuildResult, owner *Cache) (*Engine, error) {
 		syscall.Kill(-e.reap.pid, syscall.SIGKILL)
 	})
 	err = e.handshake(res.DesignHash)
+	if err == nil {
+		if _, _, _, err = e.runLocked(0, &sim.Watch{}); err != nil {
+			err = fmt.Errorf("native: handshake: first state read: %w", err)
+		}
+	}
 	hsTimer.Stop()
 	if err != nil {
 		e.kill()
@@ -273,14 +278,23 @@ func (e *Engine) readResp() ([]byte, error) {
 	return buf[1:], nil
 }
 
+// liveLocked returns the sticky crash error of a dead engine, or an error
+// for a closed one: such an engine fails every call and every read.
+func (e *Engine) liveLocked() error {
+	if e.dead != nil {
+		return e.dead
+	}
+	if e.closed {
+		return fmt.Errorf("native: engine closed")
+	}
+	return nil
+}
+
 // callLocked performs one request/response round trip. Transport failures
 // become sticky; RemoteErrors pass through without poisoning the engine.
 func (e *Engine) callLocked(op byte, payload []byte) ([]byte, error) {
-	if e.dead != nil {
-		return nil, e.dead
-	}
-	if e.closed {
-		return nil, fmt.Errorf("native: engine closed")
+	if err := e.liveLocked(); err != nil {
+		return nil, err
 	}
 	if err := e.writeFrame(op, payload); err != nil {
 		return nil, e.fail(err)
@@ -304,30 +318,12 @@ func asRemote(err error, out **RemoteError) bool {
 	return ok
 }
 
-// StepN executes n cycles in the subprocess (one round trip) and refreshes
-// the cycle counter and fired flags.
+// StepN executes n cycles in the subprocess: one run-until round trip with
+// nothing to watch, which refreshes the cycle counter, fired flags and
+// register mirror.
 func (e *Engine) StepN(n uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	resp, err := e.callLocked('s', binary.LittleEndian.AppendUint64(nil, n))
-	if err != nil {
-		return err
-	}
-	if len(resp) != 8+len(e.fired) {
-		return e.fail(fmt.Errorf("step: response length %d", len(resp)))
-	}
-	e.cycles = binary.LittleEndian.Uint64(resp[:8])
-	copy(e.fired, resp[8:])
-	e.mirrorOK = false
-	return nil
-}
-
-// coded is a stop condition that also carries its condition-VM program
-// (gomodel.EncodeCondition): the form the subprocess evaluates.
-// debug.Predicate is one.
-type coded interface {
-	sim.Cond
-	Code() []uint64
+	_, _, err := e.runBatch(n, &sim.Watch{})
+	return err
 }
 
 // maxBatchBytes bounds the rows one recording run-until reply carries, so
@@ -335,16 +331,9 @@ type coded interface {
 const maxBatchBytes = 1 << 24
 
 // RunUntil implements sim.UntilRunner: the subprocess runs the cycles,
-// evaluates the conditions after each and stops at the first that holds,
-// so a batch costs one round trip, rows included. The batch's final state
-// refreshes the mirror. Conditions without a program fall back to
-// sim.StepUntil, one cycle per round trip.
+// evaluates the conditions' VM programs after each and stops at the first
+// that holds, so a batch costs one round trip, rows included.
 func (e *Engine) RunUntil(ctx context.Context, n uint64, w *sim.Watch) (ran uint64, hit int, err error) {
-	for _, c := range w.Conds {
-		if _, ok := c.(coded); !ok {
-			return sim.StepUntil(ctx, e, nil, n, w)
-		}
-	}
 	batch := n
 	if w.OnRow != nil {
 		batch = max(1, maxBatchBytes/uint64(8+8*len(e.mirror)))
@@ -364,9 +353,41 @@ func (e *Engine) RunUntil(ctx context.Context, n uint64, w *sim.Watch) (ran uint
 	return ran, -1, nil
 }
 
-// runBatch is one run-until round trip of at most n cycles.
+// runBatch is one run-until round trip of at most n cycles, then the
+// delivery of its rows to w.OnRow outside the lock.
 func (e *Engine) runBatch(n uint64, w *sim.Watch) (uint64, int, error) {
 	e.mu.Lock()
+	ran, hit, rows, err := e.runLocked(n, w)
+	cyc := e.cycles - ran
+	e.mu.Unlock()
+	if err != nil || w.OnRow == nil {
+		return ran, hit, err
+	}
+	nregs := len(e.mirror)
+	if len(e.row) != nregs {
+		e.row = make([]uint64, nregs)
+	}
+	rowLen := 8 + 8*nregs
+	for ; len(rows) > 0; rows = rows[rowLen:] {
+		for i := range e.row {
+			e.row[i] = binary.LittleEndian.Uint64(rows[8+8*i:])
+		}
+		for k := binary.LittleEndian.Uint64(rows); k > 0; k-- {
+			cyc++
+			if err := w.OnRow(cyc, e.row); err != nil {
+				return ran, -1, err
+			}
+		}
+	}
+	return ran, hit, nil
+}
+
+// runLocked sends one run-until request of at most n cycles under w's
+// conditions and takes the cycle count, fired flags and final state from
+// the reply. It returns the cycles run, the condition that held (or -1)
+// and, when w records, the reply's row entries, which stay valid until the
+// next round trip.
+func (e *Engine) runLocked(n uint64, w *sim.Watch) (uint64, int, []byte, error) {
 	p := binary.LittleEndian.AppendUint64(e.wbuf[:0], n)
 	if w.OnRow != nil {
 		p = append(p, 1)
@@ -375,7 +396,7 @@ func (e *Engine) runBatch(n uint64, w *sim.Watch) (uint64, int, error) {
 	}
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(w.Conds)))
 	for _, c := range w.Conds {
-		code := c.(coded).Code()
+		code := c.Code()
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(code)))
 		for _, word := range code {
 			p = binary.LittleEndian.AppendUint64(p, word)
@@ -384,14 +405,12 @@ func (e *Engine) runBatch(n uint64, w *sim.Watch) (uint64, int, error) {
 	e.wbuf = p
 	resp, err := e.callLocked('u', p)
 	if err != nil {
-		e.mu.Unlock()
-		return 0, -1, err
+		return 0, -1, nil, err
 	}
 	nregs, fb := len(e.mirror), len(e.fired)
 	hdr := 8 + fb + 8 + 4 + 4
 	if len(resp) < hdr+8*nregs {
-		e.mu.Unlock()
-		return 0, -1, e.fail(fmt.Errorf("run-until: response length %d", len(resp)))
+		return 0, -1, nil, e.fail(fmt.Errorf("run-until: response length %d", len(resp)))
 	}
 	cycles := binary.LittleEndian.Uint64(resp)
 	ran := binary.LittleEndian.Uint64(resp[8+fb:])
@@ -405,8 +424,7 @@ func (e *Engine) runBatch(n uint64, w *sim.Watch) (uint64, int, error) {
 	}
 	if len(resp) != hdr+entries*rowLen+8*nregs || ran > n || hit < -1 || hit >= len(w.Conds) ||
 		hit >= 0 && ran == 0 || w.OnRow != nil && sum != ran {
-		e.mu.Unlock()
-		return 0, -1, e.fail(fmt.Errorf("run-until: malformed response (%d bytes, %d cycles, hit %d, %d rows)", len(resp), ran, hit, sum))
+		return 0, -1, nil, e.fail(fmt.Errorf("run-until: malformed response (%d bytes, %d cycles, hit %d, %d rows)", len(resp), ran, hit, sum))
 	}
 	e.cycles = cycles
 	copy(e.fired, resp[8:8+fb])
@@ -414,57 +432,18 @@ func (e *Engine) runBatch(n uint64, w *sim.Watch) (uint64, int, error) {
 	for i := range e.mirror {
 		e.mirror[i] = binary.LittleEndian.Uint64(final[8*i:])
 	}
-	e.mirrorOK = true
-	e.mu.Unlock()
-
-	if w.OnRow != nil {
-		if len(e.row) != nregs {
-			e.row = make([]uint64, nregs)
-		}
-		cyc := cycles - ran
-		for ; len(rows) > 0; rows = rows[rowLen:] {
-			for i := range e.row {
-				e.row[i] = binary.LittleEndian.Uint64(rows[8+8*i:])
-			}
-			for k := binary.LittleEndian.Uint64(rows); k > 0; k-- {
-				cyc++
-				if err := w.OnRow(cyc, e.row); err != nil {
-					return ran, -1, err
-				}
-			}
-		}
-	}
-	return ran, hit, nil
+	return ran, hit, rows, nil
 }
 
-// PeekAll refreshes the local register mirror with one round trip.
+// PeekAll returns a copy of every register's payload, in declaration
+// order, from the mirror the last reply left current.
 func (e *Engine) PeekAll() ([]uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.refreshLocked(); err != nil {
+	if err := e.liveLocked(); err != nil {
 		return nil, err
 	}
-	out := make([]uint64, len(e.mirror))
-	copy(out, e.mirror)
-	return out, nil
-}
-
-func (e *Engine) refreshLocked() error {
-	if e.mirrorOK {
-		return nil
-	}
-	resp, err := e.callLocked('A', nil)
-	if err != nil {
-		return err
-	}
-	if len(resp) != 8*len(e.mirror) {
-		return e.fail(fmt.Errorf("peek-all: response length %d", len(resp)))
-	}
-	for i := range e.mirror {
-		e.mirror[i] = binary.LittleEndian.Uint64(resp[8*i:])
-	}
-	e.mirrorOK = true
-	return nil
+	return append([]uint64(nil), e.mirror...), nil
 }
 
 // Poke overwrites register i.
@@ -476,38 +455,30 @@ func (e *Engine) Poke(i int, v uint64) error {
 	if _, err := e.callLocked('P', payload); err != nil {
 		return err
 	}
-	if e.mirrorOK {
-		e.mirror[i] = v & bits.Mask(e.design.Registers[i].Type.BitWidth())
-	}
+	// The subprocess masks the value to the register's width the same way.
+	e.mirror[i] = v & bits.Mask(e.design.Registers[i].Type.BitWidth())
 	return nil
 }
 
-// TakeSnapshot captures the subprocess state as a sim.Snapshot. While the
-// mirror is current (after a run-until batch or a state read) the snapshot
-// is built from it, since registers plus the cycle count are the whole
-// KSNP payload; otherwise it costs one round trip.
+// TakeSnapshot captures the subprocess state as a sim.Snapshot, built from
+// the mirror and cycle count with no round trip: registers plus the cycle
+// count are the whole KSNP payload.
 func (e *Engine) TakeSnapshot() (sim.Snapshot, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.mirrorOK && e.dead == nil && !e.closed {
-		s := sim.Snapshot{Cycle: e.cycles, Regs: make([]bits.Bits, len(e.mirror))}
-		for i, r := range e.design.Registers {
-			s.Regs[i] = bits.New(r.Type.BitWidth(), e.mirror[i])
-		}
-		return s, nil
-	}
-	resp, err := e.callLocked('S', nil)
-	if err != nil {
+	if err := e.liveLocked(); err != nil {
 		return sim.Snapshot{}, err
 	}
-	var s sim.Snapshot
-	if err := s.UnmarshalBinary(resp); err != nil {
-		return sim.Snapshot{}, e.fail(fmt.Errorf("snapshot: %w", err))
+	s := sim.Snapshot{Cycle: e.cycles, Regs: make([]bits.Bits, len(e.mirror))}
+	for i, r := range e.design.Registers {
+		s.Regs[i] = bits.New(r.Type.BitWidth(), e.mirror[i])
 	}
 	return s, nil
 }
 
-// RestoreSnapshot rewinds the subprocess to a captured snapshot.
+// RestoreSnapshot rewinds the subprocess to a captured snapshot, then reads
+// the restored state back with a 0-cycle run-until, so the mirror and cycle
+// count come from the subprocess rather than from s.
 func (e *Engine) RestoreSnapshot(s sim.Snapshot) error {
 	raw, err := s.MarshalBinary()
 	if err != nil {
@@ -518,12 +489,8 @@ func (e *Engine) RestoreSnapshot(s sim.Snapshot) error {
 	if _, err := e.callLocked('R', raw); err != nil {
 		return err
 	}
-	e.cycles = s.Cycle
-	for i := range e.fired {
-		e.fired[i] = 0
-	}
-	e.mirrorOK = false
-	return nil
+	_, _, _, err = e.runLocked(0, &sim.Watch{})
+	return err
 }
 
 // Profile fetches the per-rule attempt/commit/skip counters.
@@ -600,7 +567,7 @@ func (e *Engine) Advance(n uint64) uint64 {
 	return n
 }
 
-// Reg implements sim.Engine.
+// Reg implements sim.Engine, from the mirror.
 func (e *Engine) Reg(name string) bits.Bits {
 	i, ok := e.regIdx[name]
 	if !ok {
@@ -608,18 +575,17 @@ func (e *Engine) Reg(name string) bits.Bits {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.refreshLocked(); err != nil {
+	if err := e.liveLocked(); err != nil {
 		panic(err)
 	}
 	return bits.New(e.design.Registers[i].Type.BitWidth(), e.mirror[i])
 }
 
-// ReadRow implements sim.RowReader: the whole row from the mirror, paying
-// at most the one peek-all round trip a Reg call would.
+// ReadRow implements sim.RowReader: the whole row from the mirror.
 func (e *Engine) ReadRow(dst []uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.refreshLocked(); err != nil {
+	if err := e.liveLocked(); err != nil {
 		panic(err)
 	}
 	copy(dst[:len(e.mirror)], e.mirror)

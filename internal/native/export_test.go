@@ -1,18 +1,10 @@
 package native
 
-// RawSnapshot asks the subprocess for its KSNP snapshot bytes, bypassing
-// the mirror.
-func (e *Engine) RawSnapshot() ([]byte, error) {
+// Call sends one request frame with an arbitrary opcode through the
+// engine's round-trip path and returns a copy of the reply payload.
+func (e *Engine) Call(op byte, payload []byte) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	resp, err := e.callLocked('S', nil)
+	resp, err := e.callLocked(op, payload)
 	return append([]byte(nil), resp...), err
-}
-
-// MirrorCurrent reports whether register reads and snapshots are served
-// without a round trip.
-func (e *Engine) MirrorCurrent() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mirrorOK
 }

@@ -1,7 +1,10 @@
 package native_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -415,8 +418,73 @@ func TestCrashIsSticky(t *testing.T) {
 	if err2 := eng.StepN(1); err2 == nil {
 		t.Fatalf("sticky failure not sticky")
 	}
+	// State reads are served from the mirror; after a crash they must fail
+	// with the crash error rather than serve the last state seen.
+	for what, read := range map[string]func() error{
+		"Reg":          func() error { return recovered(func() { eng.Reg("x") }) },
+		"ReadRow":      func() error { return recovered(func() { eng.ReadRow(make([]uint64, len(d.Registers))) }) },
+		"PeekAll":      func() error { _, err := eng.PeekAll(); return err },
+		"TakeSnapshot": func() error { _, err := eng.TakeSnapshot(); return err },
+	} {
+		if err := read(); err != eng.Dead() {
+			t.Fatalf("%s after the crash: got %v, want the crash error %v", what, err, eng.Dead())
+		}
+	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("Close after crash: %v", err)
+	}
+}
+
+// recovered runs f and returns the error it panicked with, or nil.
+func recovered(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if err, _ = r.(error); err == nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}
+	}()
+	f()
+	return nil
+}
+
+// TestRetiredOpcodesRefused sends each opcode protocol 3 retired (step,
+// peek, peek-all, snapshot) to a live servo: each must be refused with an
+// "unknown opcode" RemoteError, not crash the subprocess, and the engine
+// must keep stepping at the reference interpreter's digest.
+func TestRetiredOpcodesRefused(t *testing.T) {
+	d := bench.CollatzBench(27).MustCheck()
+	ref, err := interp.New(d)
+	if err != nil {
+		t.Fatalf("interp: %v", err)
+	}
+	c := openCache(t, native.CacheOptions{})
+	eng := launch(t, c, d, nil)
+	for _, req := range []struct {
+		op      byte
+		payload []byte
+	}{
+		{'s', binary.LittleEndian.AppendUint64(nil, 1)},
+		{'p', binary.LittleEndian.AppendUint32(nil, 0)},
+		{'A', nil},
+		{'S', nil},
+	} {
+		_, err := eng.Call(req.op, req.payload)
+		var re *native.RemoteError
+		if !errors.As(err, &re) || re.Msg != "unknown opcode" {
+			t.Fatalf("opcode %q: got %v, want an unknown-opcode refusal", req.op, err)
+		}
+		if err := eng.Dead(); err != nil {
+			t.Fatalf("opcode %q killed the engine: %v", req.op, err)
+		}
+		for k := 0; k < 10; k++ {
+			ref.Cycle()
+			eng.Cycle()
+		}
+		if a, b := sim.StateDigest(ref), sim.StateDigest(eng); a != b || ref.CycleCount() != eng.CycleCount() {
+			t.Fatalf("after opcode %q: interp digest %016x at cycle %d, native %016x at cycle %d",
+				req.op, a, ref.CycleCount(), b, eng.CycleCount())
+		}
 	}
 }
 

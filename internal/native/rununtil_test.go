@@ -118,38 +118,88 @@ func TestLockstepRunUntil(t *testing.T) {
 	}
 }
 
-// TestRunUntilSnapshotFromRow checks that a snapshot built from a batch's
-// final row and cycle count, with no round trip, marshals byte-identically
-// to the subprocess's own KSNP reply, over an msi run.
+// TestRunUntilSnapshotFromRow checks that snapshots built from the
+// register mirror, with no round trip, marshal byte-identically to the
+// reference interpreter's at the same cycle over an msi run: at launch,
+// after Advance, after run-until batches stopped by a breakpoint or run to
+// the end, after a poke and after a restore.
 func TestRunUntilSnapshotFromRow(t *testing.T) {
 	bm, _ := bench.Lookup("msi")
 	inst := bm.New()
+	d := inst.Design
+	ref, err := interp.New(d)
+	if err != nil {
+		t.Fatalf("interp: %v", err)
+	}
 	c := openCache(t, native.CacheOptions{})
-	eng := launch(t, c, inst.Design, inst.Native)
+	eng := launch(t, c, d, inst.Native)
 	ctx := context.Background()
-	for b := 0; b < 20; b++ {
-		if _, _, err := eng.RunUntil(ctx, 64, &sim.Watch{}); err != nil {
-			t.Fatalf("RunUntil: %v", err)
-		}
-		if !eng.MirrorCurrent() {
-			t.Fatalf("batch %d left the mirror stale", b)
-		}
+	check := func(what string) {
+		t.Helper()
 		snap, err := eng.TakeSnapshot()
 		if err != nil {
-			t.Fatalf("TakeSnapshot: %v", err)
+			t.Fatalf("%s: TakeSnapshot: %v", what, err)
 		}
 		got, err := snap.MarshalBinary()
 		if err != nil {
-			t.Fatalf("MarshalBinary: %v", err)
+			t.Fatalf("%s: MarshalBinary: %v", what, err)
 		}
-		want, err := eng.RawSnapshot()
+		want, err := ref.Snapshot().MarshalBinary()
 		if err != nil {
-			t.Fatalf("snapshot round trip: %v", err)
+			t.Fatalf("%s: interp MarshalBinary: %v", what, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("cycle %d: snapshot built from the row differs from the servo's reply", snap.Cycle)
+			t.Fatalf("%s: snapshot built from the mirror at cycle %d differs from interp's at cycle %d", what, snap.Cycle, ref.CycleCount())
 		}
 	}
+	check("launch")
+	eng.Advance(100)
+	sim.Run(ref, nil, 100)
+	check("Advance")
+
+	p, err := debug.Compile(d, "p_state.rd0() == pstate::ConfirmDowngrades")
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	hits := 0
+	for b := 0; b < 20; b++ {
+		// Odd batches run to the end; even ones stop at the breakpoint.
+		var w1, w2 sim.Watch
+		if b%2 == 0 {
+			w1.Conds, w2.Conds = []sim.Cond{p}, []sim.Cond{p}
+		}
+		ran1, hit1, err1 := sim.RunUntil(ctx, ref, nil, 64, &w1)
+		ran2, hit2, err2 := eng.RunUntil(ctx, 64, &w2)
+		if err1 != nil || err2 != nil || ran1 != ran2 || hit1 != hit2 {
+			t.Fatalf("batch %d: interp ran %d hit %d err %v, native ran %d hit %d err %v", b, ran1, hit1, err1, ran2, hit2, err2)
+		}
+		if hit1 >= 0 {
+			hits++
+		}
+		check("RunUntil")
+	}
+	if hits == 0 {
+		t.Fatalf("the breakpoint stopped no batch")
+	}
+
+	v := ref.Reg("c0_ops_done").Not()
+	ref.SetReg("c0_ops_done", v)
+	if err := eng.Poke(d.RegIndex("c0_ops_done"), v.Val); err != nil {
+		t.Fatalf("Poke: %v", err)
+	}
+	check("Poke")
+
+	snap := ref.Snapshot()
+	eng.Advance(50)
+	sim.Run(ref, nil, 50)
+	ref.Restore(snap)
+	if err := eng.RestoreSnapshot(snap); err != nil {
+		t.Fatalf("RestoreSnapshot: %v", err)
+	}
+	check("RestoreSnapshot")
+	eng.Advance(30)
+	sim.Run(ref, nil, 30)
+	check("Advance after RestoreSnapshot")
 }
 
 // TestRunUntilBatchAllocs checks that once its buffers have grown, a

@@ -169,10 +169,13 @@ func RunContext(ctx context.Context, e Engine, tb Testbench, n uint64) (cycles u
 }
 
 // Cond is a stop condition RunUntil checks after every cycle, over the
-// register row: payloads in declaration order. Compiled debugger
-// predicates (debug.Predicate) are Conds.
+// register row: payloads in declaration order. Code is the same condition
+// as a condition-VM program (gomodel.EncodeCondition), the form engines
+// that run the loop out of process evaluate. Compiled debugger predicates
+// (debug.Predicate) are Conds.
 type Cond interface {
 	Eval(row []uint64) bool
+	Code() []uint64
 }
 
 // Watch is what RunUntil does besides simulating: the stop conditions, in

@@ -76,6 +76,7 @@ go test ./internal/sim -run='^$' -fuzz='^FuzzSnapshotUnmarshal$' -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz='^FuzzServerRequest$' -fuzztime=5s
 go test ./internal/tracedb -run='^$' -fuzz='^FuzzParseQuery$' -fuzztime=5s
 go test ./internal/debug -run='^$' -fuzz='^FuzzPredicate$' -fuzztime=5s
+go test ./internal/gomodel -run='^$' -fuzz='^FuzzConditionVM$' -fuzztime=5s
 
 echo "== kdiff generative sweep (fixed seeds, all engines, shrink on failure)"
 # Every engine in the matrix must track the reference interpreter in
@@ -123,8 +124,9 @@ echo "== native tier: lockstep gate over the zoo (subprocess vs interp)"
 # Every standalone zoo design runs compiled under the supervisor in
 # cycle-by-cycle lockstep with the reference interpreter; the differential
 # net repeats the gate over generated designs (most of which exercise the
-# unsupported-design skip path).
-go test -run 'TestLockstep' ./internal/native
+# unsupported-design skip path). The mirror-built snapshots are held to the
+# interpreter's, and the opcodes protocol 3 retired must be refused.
+go test -run 'TestLockstep|TestRunUntilSnapshotFromRow|TestRetiredOpcodesRefused' ./internal/native
 go test -run 'TestNativeSpec' ./internal/difftest
 
 echo "== native tier: ksimd promotion smoke (tier flip, digest parity, reap)"
