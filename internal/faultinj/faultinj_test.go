@@ -195,7 +195,7 @@ func TestFaultFSRenameSyncRead(t *testing.T) {
 	if err := fs.Rename(src, filepath.Join(dir, "dst")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("rename: %v", err)
 	}
-	if err := fs.SyncDir(dir); !errors.Is(err, ErrInjected) {
+	if err := fs.Sync(dir); !errors.Is(err, ErrInjected) {
 		t.Fatalf("sync: %v", err)
 	}
 	if _, err := fs.ReadFile(src); !errors.Is(err, ErrInjected) {
@@ -210,13 +210,22 @@ func TestFaultFSRenameSyncRead(t *testing.T) {
 	if err := fs.Rename(src, filepath.Join(dir, "dst")); err != nil {
 		t.Fatalf("clean rename: %v", err)
 	}
-	if err := fs.SyncDir(dir); err != nil {
+	if err := fs.Sync(dir); err != nil {
 		t.Fatalf("clean sync: %v", err)
 	}
 }
 
 func TestOSSyncDir(t *testing.T) {
-	if err := OS().SyncDir(t.TempDir()); err != nil {
+	dir := t.TempDir()
+	if err := OS().Sync(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Sync takes files as well as directories.
+	file := filepath.Join(dir, "f")
+	if err := OS().WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := OS().Sync(file); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,18 +9,21 @@ import (
 	"syscall"
 )
 
-// FS is the filesystem surface the durable store runs on. The production
-// implementation (OS) adds the fsync discipline a crash-safe store needs;
-// the fault wrapper (NewFS) injects failures and torn writes underneath an
-// unchanged store, which is how the crash-safety tests reach states that a
-// clean OS run never produces.
+// FS is the filesystem surface the durable store runs on. Writes do not
+// fsync: the caller decides when bytes must be durable and calls Sync on
+// the file (before renaming it into place) and on its directory (after the
+// rename), so a store that commits many files at once pays for one
+// directory sync, not one per file. The fault wrapper (NewFS) injects
+// failures and torn writes underneath an unchanged store, which is how the
+// crash-safety tests reach states that a clean OS run never produces.
 type FS interface {
-	// WriteFile writes data to path and fsyncs the file before closing.
+	// WriteFile writes data to path. It does not fsync; call Sync.
 	WriteFile(path string, data []byte, perm fs.FileMode) error
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
-	// SyncDir fsyncs a directory so a preceding rename survives a crash.
-	SyncDir(path string) error
+	// Sync fsyncs a file, so its bytes survive a crash, or a directory, so
+	// a preceding rename or create in it survives a crash.
+	Sync(path string) error
 	ReadFile(path string) ([]byte, error)
 	MkdirAll(path string, perm fs.FileMode) error
 	ReadDir(path string) ([]fs.DirEntry, error)
@@ -39,9 +42,6 @@ func (osFS) WriteFile(path string, data []byte, perm fs.FileMode) error {
 		return err
 	}
 	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -50,16 +50,16 @@ func (osFS) WriteFile(path string, data []byte, perm fs.FileMode) error {
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
-func (osFS) SyncDir(path string) error {
-	d, err := os.Open(path)
+func (osFS) Sync(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	// Some filesystems refuse fsync on directories; the rename is still
+	// Some filesystems refuse fsync on directories; a rename is still
 	// atomic there, so degrade silently rather than failing checkpoints.
 	if errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
 		return nil
@@ -74,7 +74,8 @@ func (osFS) Remove(path string) error                     { return os.Remove(pat
 func (osFS) RemoveAll(path string) error                  { return os.RemoveAll(path) }
 
 // NewFS wraps inner so writes, renames, syncs, and reads consult the
-// injector first. Ops: "fs.write", "fs.rename", "fs.sync", "fs.read".
+// injector first. Ops: "fs.write", "fs.rename", "fs.sync" (file and
+// directory syncs alike), "fs.read".
 // A Tear rule on fs.write reports success but persists only the first half
 // of the data — the shape a crash mid-write leaves behind.
 func NewFS(inner FS, inj *Injector) FS { return faultFS{inner: inner, inj: inj} }
@@ -108,13 +109,13 @@ func (f faultFS) Rename(oldpath, newpath string) error {
 	return f.inner.Rename(oldpath, newpath)
 }
 
-func (f faultFS) SyncDir(path string) error {
+func (f faultFS) Sync(path string) error {
 	if r, ok := f.inj.Hit("fs.sync"); ok && r.Kind != Latency && r.Kind != Stall {
 		return fmt.Errorf("%w: fs.sync %s", ErrInjected, filepath.Base(path))
 	} else if ok {
 		sleep(r)
 	}
-	return f.inner.SyncDir(path)
+	return f.inner.Sync(path)
 }
 
 func (f faultFS) ReadFile(path string) ([]byte, error) {

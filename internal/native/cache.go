@@ -368,11 +368,14 @@ func (c *Cache) compile(design string, hash uint64, key, src string) (BuildResul
 	if err := c.fs.WriteFile(filepath.Join(tmp, metaName), raw, 0o644); err != nil {
 		return BuildResult{}, fmt.Errorf("native: compile %s: %w", design, err)
 	}
+	if err := c.fs.Sync(filepath.Join(tmp, metaName)); err != nil {
+		return BuildResult{}, fmt.Errorf("native: compile %s: %w", design, err)
+	}
 	final := filepath.Join(c.dir, key)
 	if err := c.fs.Rename(tmp, final); err != nil {
 		return BuildResult{}, fmt.Errorf("native: compile %s: publish: %w", design, err)
 	}
-	c.fs.SyncDir(c.dir)
+	c.fs.Sync(c.dir)
 
 	c.mu.Lock()
 	c.clock++

@@ -141,9 +141,13 @@ func launch(d *ast.Design, res BuildResult, owner *Cache) (*Engine, error) {
 		close(e.waitDone)
 	}()
 
-	// A corrupt binary may never speak; bound the handshake.
+	// A corrupt binary may never speak; bound the handshake. The timer
+	// captures only the pid: a stopped timer can linger in the runtime's
+	// timer heap until its deadline, and must not keep a closed engine and
+	// its design reachable that long.
+	pid := e.reap.pid
 	hsTimer := time.AfterFunc(handshakeTimeout, func() {
-		syscall.Kill(-e.reap.pid, syscall.SIGKILL)
+		syscall.Kill(-pid, syscall.SIGKILL)
 	})
 	err = e.handshake(res.DesignHash)
 	if err == nil {

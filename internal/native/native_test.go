@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"syscall"
 	"testing"
@@ -516,4 +517,58 @@ func TestReaperKillAll(t *testing.T) {
 		t.Fatalf("subprocess %d still exists after KillAll (kill 0 = %v)", pid, err)
 	}
 	eng.Close()
+}
+
+// TestClosedEngineIsCollectable: a closed, dropped engine must become
+// unreachable at once, design and all. Nothing its launch left behind —
+// the handshake timer, the reaper table, the wait goroutine — may keep it
+// alive until some timeout fires.
+func TestClosedEngineIsCollectable(t *testing.T) {
+	c := openCache(t, native.CacheOptions{})
+	d := bench.CollatzBench(27).MustCheck()
+	if _, err := c.Build(d, nil); err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	// A daemon has other timers pending (request deadlines) on both sides
+	// of the handshake timeout. Then the runtime keeps a stopped handshake
+	// timer in its heap until that timeout passes: it drops stopped timers
+	// eagerly only from the heap's head and tail. One P keeps every timer
+	// in one heap; 32 due sooner and 160 due later put the handshake timer
+	// in the middle.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 192; i++ {
+		after := time.Minute
+		if i < 32 {
+			after = 15 * time.Second
+		}
+		tm := time.AfterFunc(after, func() {})
+		defer tm.Stop()
+	}
+	collected := make(chan struct{})
+	func() {
+		e, err := c.Engine(d, nil)
+		if err != nil {
+			t.Fatalf("Engine: %v", err)
+		}
+		if err := e.StepN(3); err != nil {
+			t.Fatalf("StepN: %v", err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		runtime.SetFinalizer(e, func(*native.Engine) { close(collected) })
+	}()
+	// Wait without timers of our own, which would reshuffle the heap.
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		for j := 0; j < 100; j++ {
+			select {
+			case <-collected:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+	t.Fatal("a closed native engine is still reachable after 20 forced GCs")
 }

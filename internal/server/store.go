@@ -110,10 +110,13 @@ func (st *Store) atomicWrite(path string, data []byte) error {
 	if err := st.fs.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
+	if err := st.fs.Sync(tmp); err != nil {
+		return err
+	}
 	if err := st.fs.Rename(tmp, path); err != nil {
 		return err
 	}
-	return st.fs.SyncDir(filepath.Dir(path))
+	return st.fs.Sync(filepath.Dir(path))
 }
 
 // SaveMeta persists a session's rebuild recipe.

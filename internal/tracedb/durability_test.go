@@ -154,10 +154,10 @@ func TestCorruptChunkResumeAndReRecord(t *testing.T) {
 func TestTornChunkWriteInvisible(t *testing.T) {
 	eng, tb := newEngine(t, "collatz")
 	dir := filepath.Join(t.TempDir(), "trace")
-	// Tear the 4th fs.write: meta, index at create, then chunk c0 at the
-	// first boundary... locate it dynamically instead: tear every write
-	// whose path is a chunk temp file by running with a generous rule set.
-	inj := faultinj.New(1, faultinj.Rule{Op: "fs.write", Nth: 4, Kind: faultinj.Tear})
+	// Tear the first index write that credits a chunk: meta (1) and the
+	// empty index (2) at Create, chunks c0..c384 at their boundaries
+	// (3..9), the tail c448 at Close (10), then the committing index (11).
+	inj := faultinj.New(1, faultinj.Rule{Op: "fs.write", Nth: 11, Kind: faultinj.Tear})
 	ffs := faultinj.NewFS(faultinj.OS(), inj)
 	rec, err := Create(dir, ffs, MetaFor(eng.Design(), 64))
 	if err != nil {
@@ -239,7 +239,9 @@ func TestTornIndexWriteRebuilds(t *testing.T) {
 func TestRecorderSurvivesTransientWriteFaults(t *testing.T) {
 	eng, tb := newEngine(t, "collatz")
 	dir := filepath.Join(t.TempDir(), "trace")
-	// Fail two mid-recording chunk writes, then let everything succeed.
+	// Fail two mid-recording chunk writes, then let everything succeed:
+	// meta (1) and the empty index (2) at Create, c0 (3), then c32 at its
+	// boundary (4) and again, 64 rows long, at the next one (5).
 	inj := faultinj.New(1,
 		faultinj.Rule{Op: "fs.write", Nth: 4, Kind: faultinj.Fail},
 		faultinj.Rule{Op: "fs.write", Nth: 5, Kind: faultinj.Fail},

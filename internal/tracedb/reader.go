@@ -79,8 +79,8 @@ func (r *Reader) loadChunk(i int) (*chunkView, error) {
 		return nil, fmt.Errorf("tracedb: chunk c%d quarantined: %w", c.Start,
 			corruptf("has %d rows, index expects %d", v.count, c.Count))
 	}
-	// More rows than the index credits is a crash between chunk write and
-	// index write; only the indexed prefix is visible.
+	// More rows than the index credits were landed after the last commit;
+	// only the indexed prefix is visible.
 	v.count = int(c.Count)
 	r.cached, r.cachedView = i, v
 	return v, nil

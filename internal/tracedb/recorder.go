@@ -1,9 +1,12 @@
 package tracedb
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
 
 	"cuttlego/internal/faultinj"
 )
@@ -19,17 +22,31 @@ const maxBufferedChunks = 4
 // c to be exactly one past the previous row (the first row may start
 // anywhere — it captures the state at the cycle recording was enabled).
 // It is not safe for concurrent use; the owning session serializes access.
+//
+// Writes are group-committed. A chunk boundary lands only the chunk file
+// (temp + rename, no fsync). Flush is the one commit point: it lands the
+// buffered tail, fsyncs every chunk file landed since the last commit,
+// then the directory, and only then atomically replaces index.ktix. So the
+// durable index never credits a row whose chunk is not durable, and a
+// crash loses exactly the rows recorded after the last Flush.
 type Recorder struct {
 	dir  string
 	fs   faultinj.FS
 	meta Meta
+	nsig int
 
-	chunks   []ChunkInfo // chunks durably on disk and visible in the index
-	cols     [][]uint64  // buffered rows, columnar, not yet closed as a chunk
+	chunks   []ChunkInfo // closed chunks, their files landed (synced or not)
+	buf      []uint64    // buffered rows, row-major, not yet closed as a chunk
+	bufRows  int         // rows in buf
 	bufStart uint64      // cycle of the first buffered row
-	onDisk   int         // buffered rows already landed as the tail chunk
+	tail     ChunkInfo   // index entry of the buffered rows landed as the tail file; Count 0 if none
 	next     uint64      // next expected cycle; meaningful only when rows>0
 	rows     uint64      // total recorded rows (disk + buffer)
+
+	unsynced   []uint64 // starts of chunk files landed since the last commit
+	durableEnd uint64   // one past the last row the durable index credits; 0 if none
+	dirty      bool     // chunk files or extents changed since the last commit
+	enc        []byte   // chunk encoding buffer, reused
 }
 
 // Create starts a fresh recording in dir, wiping any previous one.
@@ -56,55 +73,66 @@ func Create(dir string, fsys faultinj.FS, meta Meta) (*Recorder, error) {
 	if err := atomicWrite(fsys, filepath.Join(dir, "meta.json"), metaBytes); err != nil {
 		return nil, err
 	}
-	r := &Recorder{dir: dir, fs: fsys, meta: meta}
-	return r, r.writeIndex()
+	r := &Recorder{dir: dir, fs: fsys, meta: meta, nsig: len(meta.Signals)}
+	return r, r.writeIndex(nil)
 }
 
 // Resume reopens an existing recording for appending, adopting the longest
-// valid contiguous prefix on disk (quarantining anything corrupt) and
-// positioning the recorder after its last row.
+// valid contiguous prefix the index credits (quarantining anything
+// corrupt) and positioning the recorder after its last row.
 func Resume(dir string, fsys faultinj.FS) (*Recorder, error) {
 	meta, chunks, err := loadState(dir, fsys)
 	if err != nil {
 		return nil, err
 	}
+	r := &Recorder{dir: dir, fs: fsys, meta: meta, nsig: len(meta.Signals)}
 	// Readers verify chunks lazily, but a recorder must never append after
 	// damaged bytes: validate every adopted chunk now, quarantine the first
 	// bad one, and truncate the recording there. Resumption is rare (a
 	// restarted daemon, an explicit re-enable), so the full scan is cheap
 	// insurance.
-	valid := chunks[:0]
 	for _, c := range chunks {
-		path := filepath.Join(dir, chunkFile(c.Start))
+		path := r.chunkPath(c.Start)
 		data, rerr := fsys.ReadFile(path)
 		if rerr != nil {
 			break
 		}
-		v, perr := parseChunk(data, len(meta.Signals))
+		v, perr := parseChunk(data, r.nsig)
 		if perr != nil || v.start != c.Start || uint64(v.count) < c.Count {
 			_ = quarantine(fsys, path)
 			break
 		}
-		valid = append(valid, c)
-	}
-	// Chunk files beyond the adopted prefix are unreachable and would only
-	// confuse a future index rebuild; drop them.
-	for _, c := range chunks[len(valid):] {
-		_ = fsys.Remove(filepath.Join(dir, chunkFile(c.Start)))
-	}
-	chunks = valid
-	r := &Recorder{dir: dir, fs: fsys, meta: meta, chunks: chunks}
-	for _, c := range chunks {
+		if uint64(v.count) > c.Count {
+			// Rows landed after the last commit into a file the index
+			// credits: cut the file back to the credited rows, so a later
+			// index rebuild cannot adopt rows the recording no longer holds.
+			r.enc, _ = encodeRows(r.enc, c.Start, v.appendRows(nil, int(c.Count)), r.nsig)
+			if err := r.land(c.Start, r.enc, true); err != nil {
+				return nil, err
+			}
+		}
+		r.chunks = append(r.chunks, c)
 		r.rows += c.Count
 	}
-	if len(chunks) > 0 {
-		last := chunks[len(chunks)-1]
-		r.next = last.Start + last.Count
+	// Every chunk file the adopted prefix does not credit — past a damaged
+	// chunk, or landed after the last commit of an abandoned timeline — is
+	// unreachable; remove it so a later index rebuild never adopts it.
+	starts, err := chunkStarts(dir, fsys)
+	if err != nil {
+		return nil, err
+	}
+	for _, start := range starts {
+		if _, ok := slices.BinarySearchFunc(r.chunks, start, func(c ChunkInfo, s uint64) int { return cmp.Compare(c.Start, s) }); !ok {
+			_ = fsys.Remove(r.chunkPath(start))
+		}
+	}
+	if n := len(r.chunks); n > 0 {
+		r.next = r.chunks[n-1].Start + r.chunks[n-1].Count
 		r.bufStart = r.next
 	}
 	// The scan may have quarantined chunks or dropped a stale tail; rewrite
 	// the index so disk state matches what we adopted.
-	if err := r.writeIndex(); err != nil {
+	if err := r.writeIndex(r.chunks); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -139,33 +167,25 @@ func (r *Recorder) FirstCycle() (uint64, bool) {
 // the schema's signal order; the slice is copied. A non-contiguous cycle
 // returns ErrGap and records nothing.
 func (r *Recorder) Append(cycle uint64, vals []uint64) error {
-	if len(vals) != len(r.meta.Signals) {
-		return fmt.Errorf("tracedb: row has %d values, schema has %d signals", len(vals), len(r.meta.Signals))
+	if len(vals) != r.nsig {
+		return fmt.Errorf("tracedb: row has %d values, schema has %d signals", len(vals), r.nsig)
 	}
 	if r.rows > 0 && cycle != r.next {
 		return fmt.Errorf("%w: cycle %d after %d", ErrGap, cycle, r.next-1)
 	}
-	if r.cols == nil {
-		r.cols = make([][]uint64, len(r.meta.Signals))
-	}
-	if len(r.cols[0]) == 0 {
+	if r.bufRows == 0 {
 		r.bufStart = cycle
-		r.onDisk = 0
 	}
-	for i, v := range vals {
-		r.cols[i] = append(r.cols[i], v)
-	}
+	r.buf = append(r.buf, vals...)
+	r.bufRows++
 	r.next = cycle + 1
 	r.rows++
-	buffered := uint64(len(r.cols[0]))
-	if buffered >= r.meta.ChunkCycles && buffered%r.meta.ChunkCycles == 0 {
+	if n := uint64(r.bufRows); n%r.meta.ChunkCycles == 0 {
 		// Chunk boundary: close the buffer as one chunk. A failed write keeps
 		// the rows buffered and retries at the next boundary; a disk that
 		// stays dead eventually exceeds the memory bound and Append errors.
-		if err := r.closeBuffer(); err != nil {
-			if buffered >= maxBufferedChunks*r.meta.ChunkCycles {
-				return fmt.Errorf("tracedb: %d rows buffered and the store keeps failing: %w", buffered, err)
-			}
+		if err := r.closeBuffer(); err != nil && n >= maxBufferedChunks*r.meta.ChunkCycles {
+			return fmt.Errorf("tracedb: %d rows buffered and the store keeps failing: %w", n, err)
 		}
 	}
 	return nil
@@ -176,165 +196,236 @@ func (r *Recorder) Append(cycle uint64, vals []uint64) error {
 // shorter (a flushed tail) or longer (rows accumulated across a failed
 // write) — readers only require contiguity, not uniform extent.
 func (r *Recorder) closeBuffer() error {
-	count := len(r.cols[0])
-	if count == 0 {
-		return nil
-	}
-	info, err := r.writeTail()
+	info, err := r.writeBuffer()
 	if err != nil {
 		return err
 	}
 	r.chunks = append(r.chunks, info)
-	for i := range r.cols {
-		r.cols[i] = r.cols[i][:0]
-	}
-	r.bufStart = r.next
-	r.onDisk = 0
-	return r.writeIndex()
-}
-
-// writeTail writes the current buffer as chunk file c<bufStart>.ktrc
-// (overwriting any shorter version of itself from an earlier flush).
-func (r *Recorder) writeTail() (ChunkInfo, error) {
-	count := len(r.cols[0])
-	data, sums := encodeChunk(r.bufStart, count, r.cols)
-	if err := atomicWrite(r.fs, filepath.Join(r.dir, chunkFile(r.bufStart)), data); err != nil {
-		return ChunkInfo{}, err
-	}
-	return ChunkInfo{Start: r.bufStart, Count: uint64(count), Sums: sums}, nil
-}
-
-func (r *Recorder) writeIndex() error {
-	return atomicWrite(r.fs, filepath.Join(r.dir, "index.ktix"), encodeIndex(len(r.meta.Signals), r.chunks))
-}
-
-// Flush makes every recorded row visible to readers: the buffered tail is
-// written as a (possibly partial) chunk and the index is rewritten to
-// include it. The buffer keeps accumulating afterwards — the tail file is
-// simply rewritten larger at the next flush or chunk boundary.
-func (r *Recorder) Flush() error {
-	if r.cols == nil || len(r.cols[0]) == 0 {
-		return nil
-	}
-	if len(r.cols[0]) == r.onDisk {
-		return nil
-	}
-	info, err := r.writeTail()
-	if err != nil {
-		return err
-	}
-	// The tail chunk joins the index without closing the buffer; drop any
-	// previous (shorter) tail entry for the same start first.
-	chunks := r.chunks
-	if n := len(chunks); n > 0 && chunks[n-1].Start == info.Start {
-		chunks = chunks[:n-1]
-	}
-	r.chunks = append(chunks, info)
-	if err := r.writeIndex(); err != nil {
-		return err
-	}
-	r.onDisk = len(r.cols[0])
-	// Leave r.chunks holding the tail entry but remember it is still open:
-	// closeBuffer replaces it when the buffer closes for real.
-	r.tailOpen()
+	r.buf, r.bufRows = r.buf[:0], 0
+	r.bufStart, r.tail = r.next, ChunkInfo{}
 	return nil
 }
 
-// tailOpen marks that the last index entry is the still-growing buffer, so
-// closeBuffer must replace rather than append it.
-func (r *Recorder) tailOpen() {
-	// Bookkeeping is positional: closeBuffer appends a chunk for bufStart;
-	// if the index already ends with an entry for bufStart (a flushed tail)
-	// it must be dropped first. Handled inline here by normalizing chunks so
-	// closeBuffer can stay append-only.
-	if n := len(r.chunks); n > 0 && len(r.cols) > 0 && len(r.cols[0]) > 0 && r.chunks[n-1].Start == r.bufStart {
-		r.chunks = r.chunks[:n-1]
+// writeBuffer lands the buffered rows as chunk file c<bufStart>, replacing
+// any shorter version of it from an earlier flush — one the durable index
+// credits when it ends past bufStart.
+func (r *Recorder) writeBuffer() (ChunkInfo, error) {
+	var sums []SigSum
+	r.enc, sums = encodeRows(r.enc, r.bufStart, r.buf, r.nsig)
+	if err := r.land(r.bufStart, r.enc, r.bufStart < r.durableEnd); err != nil {
+		return ChunkInfo{}, err
 	}
+	r.dirty = true
+	return ChunkInfo{Start: r.bufStart, Count: uint64(r.bufRows), Sums: sums}, nil
+}
+
+// land writes chunk file c<start> by temp + rename. With sync, the temp
+// file is fsynced before the rename: that is required when the durable
+// index credits the file being replaced, so a crash leaves the old bytes
+// or the new, both whole. Otherwise the file waits, unsynced, for the next
+// commit, which the index cannot credit it before.
+func (r *Recorder) land(start uint64, data []byte, sync bool) error {
+	path := r.chunkPath(start)
+	tmp := path + ".tmp"
+	if err := r.fs.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	if sync {
+		if err := r.fs.Sync(tmp); err != nil {
+			return err
+		}
+	}
+	if err := r.fs.Rename(tmp, path); err != nil {
+		return err
+	}
+	if !sync {
+		r.unsynced = append(r.unsynced, start)
+	}
+	return nil
+}
+
+// remove deletes chunk file c<start>, which nothing credits any more. A
+// file that is already gone, or stays, is harmless: no index credits it,
+// and Resume deletes what is left.
+func (r *Recorder) remove(start uint64) {
+	_ = r.fs.Remove(r.chunkPath(start))
+	r.unsynced = slices.DeleteFunc(r.unsynced, func(s uint64) bool { return s == start })
+}
+
+func (r *Recorder) chunkPath(start uint64) string { return filepath.Join(r.dir, chunkFile(start)) }
+
+// commit makes entries — the closed chunks, plus the landed tail when one
+// is credited — the durable index: it fsyncs every chunk file landed since
+// the last commit, then the directory, then atomically replaces
+// index.ktix. On error the previous index stays in place.
+func (r *Recorder) commit(entries []ChunkInfo) error {
+	for _, start := range r.unsynced {
+		if err := r.fs.Sync(r.chunkPath(start)); err != nil {
+			return err
+		}
+	}
+	if err := r.fs.Sync(r.dir); err != nil {
+		return err
+	}
+	if err := r.writeIndex(entries); err != nil {
+		return err
+	}
+	r.unsynced = r.unsynced[:0]
+	r.dirty = false
+	return nil
+}
+
+// writeIndex atomically replaces index.ktix with entries, whose chunk
+// files must already be durable.
+func (r *Recorder) writeIndex(entries []ChunkInfo) error {
+	if err := atomicWrite(r.fs, filepath.Join(r.dir, "index.ktix"), encodeIndex(r.nsig, entries)); err != nil {
+		return err
+	}
+	r.durableEnd = 0
+	if n := len(entries); n > 0 {
+		r.durableEnd = entries[n-1].Start + entries[n-1].Count
+	}
+	return nil
+}
+
+// Flush commits every recorded row: the buffered tail is landed as a
+// (possibly partial) chunk, and the chunks landed since the last commit
+// are made durable and indexed (see Recorder). The buffer keeps
+// accumulating afterwards — the tail file is simply rewritten larger at
+// the next flush or chunk boundary.
+func (r *Recorder) Flush() error {
+	if uint64(r.bufRows) > r.tail.Count {
+		info, err := r.writeBuffer()
+		if err != nil {
+			return err
+		}
+		r.tail = info
+	}
+	if !r.dirty {
+		return nil
+	}
+	entries := r.chunks
+	if r.bufRows > 0 {
+		entries = append(slices.Clip(entries), r.tail)
+	}
+	return r.commit(entries)
 }
 
 // Truncate drops every row after cycle, so a session that rewound (restore
 // or reverse) re-records the replayed cycles over a consistent prefix.
-// Truncating before the first row resets the recording to empty.
+// Truncating before the first row resets the recording to empty. Buffered
+// rows kept by the cut are committed at the next Flush; if the durable
+// index credits a dropped row, Truncate commits the cut recording — kept
+// buffered rows included — before it deletes any file (see commitCut).
 func (r *Recorder) Truncate(cycle uint64) error {
-	if r.rows == 0 {
-		return nil
-	}
-	if cycle >= r.next-1 {
+	if r.rows == 0 || cycle >= r.next-1 {
 		return nil
 	}
 	first, _ := r.FirstCycle()
-	if cycle < first {
+	var drop []uint64 // chunk files to delete once the index no longer credits them
+	switch {
+	case cycle < first:
 		// Rewound past the start of the recording: empty it.
 		for _, c := range r.chunks {
-			_ = r.fs.Remove(filepath.Join(r.dir, chunkFile(c.Start)))
+			drop = append(drop, c.Start)
 		}
-		if len(r.cols) > 0 && len(r.cols[0]) > 0 {
-			_ = r.fs.Remove(filepath.Join(r.dir, chunkFile(r.bufStart)))
-		}
-		r.chunks = nil
-		r.cols = nil
-		r.rows = 0
-		r.next = 0
-		r.onDisk = 0
-		return r.writeIndex()
-	}
-	if len(r.cols) > 0 && len(r.cols[0]) > 0 && cycle >= r.bufStart {
+		drop = append(drop, r.bufStart)
+		r.chunks = r.chunks[:0]
+		r.buf, r.bufRows, r.tail = r.buf[:0], 0, ChunkInfo{}
+		r.rows, r.next = 0, 0
+	case r.bufRows > 0 && cycle >= r.bufStart:
 		// The cut lands inside the buffer: shorten it in place.
 		keep := int(cycle - r.bufStart + 1)
-		for i := range r.cols {
-			r.cols[i] = r.cols[i][:keep]
+		r.buf, r.bufRows = r.buf[:keep*r.nsig], keep
+		if r.tail.Count > uint64(keep) {
+			r.tail = ChunkInfo{} // the tail file holds dropped rows; rewrite it at the next flush
 		}
 		r.rows -= r.next - cycle - 1
 		r.next = cycle + 1
-		if r.onDisk > keep {
-			r.onDisk = 0 // tail file on disk is now longer than the buffer; rewrite on next flush
-			return r.Flush()
+	default:
+		// The cut lands inside a closed chunk: reload that chunk's rows into
+		// the buffer and drop the buffered tail and every chunk after it.
+		idx := sort.Search(len(r.chunks), func(i int) bool { return r.chunks[i].Start+r.chunks[i].Count > cycle })
+		if idx == len(r.chunks) || r.chunks[idx].Start > cycle {
+			return fmt.Errorf("tracedb: truncate cycle %d not covered by the recording", cycle)
 		}
-		return nil
+		cut := r.chunks[idx]
+		path := r.chunkPath(cut.Start)
+		data, err := r.fs.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		v, err := parseChunk(data, r.nsig)
+		if err == nil && (v.start != cut.Start || uint64(v.count) < cut.Count) {
+			err = corruptf("chunk c%d does not hold its %d indexed rows", cut.Start, cut.Count)
+		}
+		if err != nil {
+			// Nothing from the damaged chunk on is reachable on a gap-free
+			// axis: the recording now ends before it, so the next commit
+			// neither credits nor fsyncs the renamed-aside file. Later files
+			// stay until no durable index credits them; Resume deletes them.
+			_ = quarantine(r.fs, path)
+			r.chunks = r.chunks[:idx]
+			r.buf, r.bufRows, r.tail = r.buf[:0], 0, ChunkInfo{}
+			r.bufStart, r.next = cut.Start, cut.Start
+			r.rows = cut.Start - first
+			r.unsynced = slices.DeleteFunc(r.unsynced, func(s uint64) bool { return s >= cut.Start })
+			r.dirty = true
+			return fmt.Errorf("tracedb: truncate into damaged chunk c%d: %w", cut.Start, err)
+		}
+		drop = append(drop, r.bufStart)
+		for _, c := range r.chunks[idx+1:] {
+			drop = append(drop, c.Start)
+		}
+		keep := int(cycle - cut.Start + 1)
+		r.buf, r.bufRows = v.appendRows(r.buf[:0], keep), keep
+		r.chunks = r.chunks[:idx]
+		r.bufStart, r.tail = cut.Start, ChunkInfo{}
+		r.next = cycle + 1
+		r.rows = cycle - first + 1
 	}
-	// The cut lands inside a closed chunk: reload that chunk's rows into the
-	// buffer, drop it and everything after it from disk, and continue
-	// recording from the cut.
-	idx := -1
-	for i, c := range r.chunks {
-		if cycle >= c.Start && cycle < c.Start+c.Count {
-			idx = i
-			break
+	r.dirty = true
+	// Files about to be deleted need no fsync.
+	r.unsynced = slices.DeleteFunc(r.unsynced, func(s uint64) bool { return slices.Contains(drop, s) })
+	if r.durableEnd > cycle+1 {
+		if err := r.commitCut(); err != nil {
+			return err
 		}
 	}
-	if idx < 0 {
-		return fmt.Errorf("tracedb: truncate cycle %d not covered by the recording", cycle)
+	for _, start := range drop {
+		r.remove(start)
 	}
-	cut := r.chunks[idx]
-	path := filepath.Join(r.dir, chunkFile(cut.Start))
-	data, err := r.fs.ReadFile(path)
-	if err != nil {
+	return nil
+}
+
+// commitCut commits a Truncate that dropped rows the durable index
+// credits. The kept buffered rows stay credited throughout: the old index
+// credits them through the cut, in file c<bufStart>, which holds them
+// durably. So the new index goes first, crediting the kept rows in that
+// file as it stands; only then is the file rewritten to the kept rows,
+// fsynced before its rename. A crash at any step leaves an index whose
+// every credited row is durable and kept — never fewer rows than the cut.
+func (r *Recorder) commitCut() error {
+	entries := r.chunks
+	var sums []SigSum
+	if r.bufRows > 0 {
+		r.enc, sums = encodeRows(r.enc, r.bufStart, r.buf, r.nsig)
+		entries = append(slices.Clip(entries), ChunkInfo{Start: r.bufStart, Count: uint64(r.bufRows), Sums: sums})
+	}
+	if err := r.commit(entries); err != nil {
 		return err
 	}
-	start, cols, err := decodeChunk(data, len(r.meta.Signals))
-	if err != nil || start != cut.Start {
-		_ = quarantine(r.fs, path)
-		return fmt.Errorf("tracedb: truncate into damaged chunk c%d: %w", cut.Start, err)
+	if r.bufRows == 0 || r.tail.Count == uint64(r.bufRows) {
+		return nil
 	}
-	// Remove the buffered tail file (if flushed) and every chunk at or after
-	// the cut point.
-	if len(r.cols) > 0 && len(r.cols[0]) > 0 {
-		_ = r.fs.Remove(filepath.Join(r.dir, chunkFile(r.bufStart)))
+	// The index now credits the kept rows of c<bufStart>, so land syncs.
+	if err := r.land(r.bufStart, r.enc, true); err != nil {
+		// The file keeps its longer, durable bytes, which the index credits
+		// a prefix of; the next Flush rewrites it.
+		return err
 	}
-	for _, c := range r.chunks[idx:] {
-		_ = r.fs.Remove(filepath.Join(r.dir, chunkFile(c.Start)))
-	}
-	keep := int(cycle - cut.Start + 1)
-	for i := range cols {
-		cols[i] = cols[i][:keep]
-	}
-	r.chunks = r.chunks[:idx]
-	r.cols = cols
-	r.bufStart = cut.Start
-	r.onDisk = 0
-	r.next = cycle + 1
-	r.rows = cycle - first + 1
-	return r.Flush()
+	r.tail = entries[len(entries)-1]
+	return nil
 }
 
 // Close flushes and releases the recorder.

@@ -9,19 +9,26 @@
 //	meta.json     the schema: design name, signal names/widths (declaration
 //	              order), chunk size — JSON, because humans read it
 //	c<N>.ktrc     one chunk of consecutive cycles starting at cycle N,
-//	              columnar per signal, CRC-32C trailed
+//	              columnar per signal (constant, dense or run-length),
+//	              CRC-32C trailed
 //	index.ktix    the cycle index: every chunk's extent plus per-signal
 //	              min/max/changed summaries, CRC-32C trailed
 //
-// The write discipline is the snapshot store's: temp file + fsync + rename
-// + directory sync through a faultinj.FS, so a crash leaves either the old
-// bytes or the new bytes, and anything that slips through (torn writes, bit
-// rot) is caught by the checksum on load and quarantined (.corrupt rename)
-// instead of ever being served as a wrong answer. The index is rewritten
-// after its chunks land, so the index always describes rows that are
-// durably on disk — a chunk file holding more rows than the index credits
-// is a crash between the two writes, and the extra rows are simply not
-// visible until the recorder re-lands them.
+// Writes are group-committed through a faultinj.FS. A chunk boundary lands
+// only the chunk file (temp + rename, no fsync), so recording costs no
+// fsync and no index rewrite per chunk. Recorder.Flush is the one commit
+// point: it fsyncs every chunk file landed since the last commit, then the
+// directory, and only then replaces index.ktix atomically (temp + fsync +
+// rename + directory sync, the snapshot store's discipline). The durable
+// index therefore never credits a row whose chunk is not durable: a
+// recording is durable up to its last flush (the daemon flushes at every
+// checkpoint, query, record-off, close and eviction), and a crash loses
+// only the rows recorded after it. A chunk file holding more rows than the
+// index credits, or one the index does not credit at all, is such a lost
+// suffix: readers ignore it and Resume deletes or cuts it. Anything that
+// slips through (torn writes, bit rot) is caught by the checksum on load
+// and quarantined (.corrupt rename) instead of ever being served as a
+// wrong answer.
 package tracedb
 
 import (
@@ -30,7 +37,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -158,49 +167,79 @@ func chunkFile(start uint64) string { return "c" + strconv.FormatUint(start, 10)
 const (
 	encConst = 0 // one value for every row
 	encDense = 1 // one uvarint per row
+	encRuns  = 2 // (value, run length) uvarint pairs; the runs cover every row
 )
 
-// encodeChunk serializes count rows of columnar values starting at cycle
-// start, returning the bytes and the per-signal summaries. Layout, little-
-// endian:
+// uvarintLen is the byte length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1)*9 + 64) / 64 }
+
+// encodeRows serializes a chunk of rows starting at cycle start, appending
+// to dst, and returns the bytes and the per-signal summaries. rows is
+// row-major: nsig values per row, in schema order. Layout, little-endian:
 //
 //	0      4    magic "KTRC"
 //	4      2    version
 //	6      2    reserved (zero)
 //	8      8    start cycle
 //	16     4    row count
-//	20     var  per signal: encoding byte, then 1 (const) or count (dense)
-//	            uvarint values
+//	20     var  per signal: encoding byte, then its values as uvarints —
+//	            encConst: the one value; encDense: one per row; encRuns:
+//	            (value, run length) pairs whose lengths sum to the row count
 //	end-4  4    CRC-32C of every preceding byte
-func encodeChunk(start uint64, count int, cols [][]uint64) ([]byte, []SigSum) {
-	buf := make([]byte, 0, 20+8*len(cols))
-	buf = append(buf, chunkMagic...)
+//
+// A constant column is encConst; a changing one takes whichever of
+// encDense and encRuns is smaller, so a register that changes on a few
+// cycles costs a few pairs, not a value per row.
+func encodeRows(dst []byte, start uint64, rows []uint64, nsig int) ([]byte, []SigSum) {
+	count := len(rows) / nsig
+	buf := append(dst[:0], chunkMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, formatVer)
 	buf = binary.LittleEndian.AppendUint16(buf, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, start)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
-	sums := make([]SigSum, len(cols))
-	for s, col := range cols {
-		col = col[:count]
-		sum := SigSum{Min: col[0], Max: col[0]}
-		for _, v := range col[1:] {
-			if v < sum.Min {
-				sum.Min = v
-			}
-			if v > sum.Max {
-				sum.Max = v
+	sums := make([]SigSum, nsig)
+	end := count * nsig
+	for s := 0; s < nsig; s++ {
+		// One pass for the summary and both encodings' sizes, all of which
+		// only move where the value does.
+		prev := rows[s]
+		sum := SigSum{Min: prev, Max: prev}
+		dense, runs, runStart := 0, 0, 0
+		for i, j := 0, s; j < end; i, j = i+1, j+nsig {
+			if v := rows[j]; v != prev {
+				n := uvarintLen(prev)
+				dense += n * (i - runStart)
+				runs += n + uvarintLen(uint64(i-runStart))
+				prev, runStart = v, i
+				sum.Min, sum.Max = min(sum.Min, v), max(sum.Max, v)
 			}
 		}
+		n := uvarintLen(prev)
+		dense += n * (count - runStart)
+		runs += n + uvarintLen(uint64(count-runStart))
 		sum.Changed = sum.Min != sum.Max
 		sums[s] = sum
-		if !sum.Changed {
+		switch {
+		case !sum.Changed:
 			buf = append(buf, encConst)
-			buf = binary.AppendUvarint(buf, col[0])
-			continue
-		}
-		buf = append(buf, encDense)
-		for _, v := range col {
-			buf = binary.AppendUvarint(buf, v)
+			buf = binary.AppendUvarint(buf, rows[s])
+		case runs < dense:
+			buf = append(buf, encRuns)
+			prev, runStart = rows[s], 0
+			for i, j := 0, s; j < end; i, j = i+1, j+nsig {
+				if v := rows[j]; v != prev {
+					buf = binary.AppendUvarint(buf, prev)
+					buf = binary.AppendUvarint(buf, uint64(i-runStart))
+					prev, runStart = v, i
+				}
+			}
+			buf = binary.AppendUvarint(buf, prev)
+			buf = binary.AppendUvarint(buf, uint64(count-runStart))
+		default:
+			buf = append(buf, encDense)
+			for j := s; j < end; j += nsig {
+				buf = binary.AppendUvarint(buf, rows[j])
+			}
 		}
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), sums
@@ -209,13 +248,13 @@ func encodeChunk(start uint64, count int, cols [][]uint64) ([]byte, []SigSum) {
 // chunkView is a validated chunk file whose columns decode on first use,
 // so a query reading two signals decodes two columns, not every signal.
 // parseChunk validates everything up front — header, checksum, every
-// column's encoding and values, no trailing bytes — so a column decoded
-// later can never meet bad bytes.
+// column's encoding and values, run lengths, no trailing bytes — so a
+// column decoded later can never meet bad bytes.
 type chunkView struct {
 	start uint64
 	count int // rows a column decodes to (the file's, or the index's prefix)
 	body  []byte
-	enc   []byte     // per signal: encConst or encDense
+	enc   []byte     // per signal: encConst, encDense or encRuns
 	off   []int      // per signal: offset of its first value in body
 	cols  [][]uint64 // per signal: the decoded column, nil until first use
 }
@@ -262,6 +301,8 @@ func parseChunk(data []byte, nsig int) (*chunkView, error) {
 			n = skipUvarints(body[pos:], 1)
 		case encDense:
 			n = skipUvarints(body[pos:], v.count)
+		case encRuns:
+			n = skipRuns(body[pos:], v.count)
 		default:
 			return nil, corruptf("chunk signal %d has unknown encoding %d", s, v.enc[s])
 		}
@@ -302,6 +343,27 @@ func skipUvarints(b []byte, k int) int {
 	return i
 }
 
+// skipRuns returns the byte length of the (value, run length) pairs in b
+// that cover exactly count rows, or -1 when a pair is malformed, a run is
+// empty, or the runs overshoot count.
+func skipRuns(b []byte, count int) int {
+	i := 0
+	for left := uint64(count); left > 0; {
+		_, n := binary.Uvarint(b[i:])
+		if n <= 0 {
+			return -1
+		}
+		i += n
+		k, m := binary.Uvarint(b[i:])
+		if m <= 0 || k == 0 || k > left {
+			return -1
+		}
+		i += m
+		left -= k
+	}
+	return i
+}
+
 // col returns signal s's column, decoding it on first use. The slice is
 // shared with later calls; callers must not modify it.
 func (v *chunkView) col(s int) []uint64 {
@@ -310,33 +372,53 @@ func (v *chunkView) col(s int) []uint64 {
 	}
 	c := make([]uint64, v.count)
 	b := v.body[v.off[s]:]
-	if v.enc[s] == encConst {
+	switch v.enc[s] {
+	case encConst:
 		x, _ := binary.Uvarint(b)
 		for i := range c {
 			c[i] = x
 		}
-	} else {
+	case encDense:
 		for i := range c {
 			x, n := binary.Uvarint(b)
 			c[i], b = x, b[n:]
+		}
+	default: // encRuns
+		for i := 0; i < len(c); {
+			x, n := binary.Uvarint(b)
+			k, m := binary.Uvarint(b[n:])
+			b = b[n+m:]
+			for end := min(i+int(k), len(c)); i < end; i++ {
+				c[i] = x
+			}
 		}
 	}
 	v.cols[s] = c
 	return c
 }
 
-// decodeChunk parses a chunk file and decodes every column. Every failure
-// wraps ErrCorrupt.
-func decodeChunk(data []byte, nsig int) (start uint64, cols [][]uint64, err error) {
-	v, err := parseChunk(data, nsig)
-	if err != nil {
-		return 0, nil, err
+// appendRows appends the chunk's first n rows to dst in row-major order —
+// the recorder's buffer layout.
+func (v *chunkView) appendRows(dst []uint64, n int) []uint64 {
+	nsig := len(v.cols)
+	base := len(dst)
+	dst = slices.Grow(dst, n*nsig)[:base+n*nsig]
+	for s := 0; s < nsig; s++ {
+		for i, x := range v.col(s)[:n] {
+			dst[base+i*nsig+s] = x
+		}
 	}
-	cols = make([][]uint64, nsig)
-	for s := range cols {
-		cols[s] = v.col(s)
+	return dst
+}
+
+// sumOf summarizes one decoded column.
+func sumOf(col []uint64) SigSum {
+	sum := SigSum{Min: col[0], Max: col[0]}
+	for _, v := range col[1:] {
+		sum.Min, sum.Max = min(sum.Min, v), max(sum.Max, v)
 	}
-	return v.start, cols, nil
+	sum.Changed = sum.Min != sum.Max
+	return sum
 }
 
 // --- index encoding ---------------------------------------------------------
@@ -453,10 +535,13 @@ func atomicWrite(fsys faultinj.FS, path string, data []byte) error {
 	if err := fsys.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
+	if err := fsys.Sync(tmp); err != nil {
+		return err
+	}
 	if err := fsys.Rename(tmp, path); err != nil {
 		return err
 	}
-	return fsys.SyncDir(filepath.Dir(path))
+	return fsys.Sync(filepath.Dir(path))
 }
 
 // quarantine renames a damaged file aside so it is never decoded again but
@@ -521,24 +606,10 @@ func loadState(dir string, fsys faultinj.FS) (Meta, []ChunkInfo, error) {
 // rebuildIndex scans the directory for chunk files and recomputes every
 // summary, quarantining undecodable chunks.
 func rebuildIndex(dir string, fsys faultinj.FS, nsig int) ([]ChunkInfo, error) {
-	entries, err := fsys.ReadDir(dir)
+	starts, err := chunkStarts(dir, fsys)
 	if err != nil {
 		return nil, err
 	}
-	var starts []uint64
-	for _, e := range entries {
-		name := e.Name()
-		rest, ok := strings.CutSuffix(name, ".ktrc")
-		if !ok || !strings.HasPrefix(rest, "c") {
-			continue
-		}
-		n, err := strconv.ParseUint(rest[1:], 10, 64)
-		if err != nil {
-			continue
-		}
-		starts = append(starts, n)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	var chunks []ChunkInfo
 	for _, start := range starts {
 		path := filepath.Join(dir, chunkFile(start))
@@ -546,16 +617,38 @@ func rebuildIndex(dir string, fsys faultinj.FS, nsig int) ([]ChunkInfo, error) {
 		if err != nil {
 			continue
 		}
-		gotStart, cols, err := decodeChunk(data, nsig)
-		if err != nil || gotStart != start {
+		v, err := parseChunk(data, nsig)
+		if err != nil || v.start != start {
 			_ = quarantine(fsys, path)
 			continue
 		}
-		count := len(cols[0])
-		_, sums := encodeChunk(start, count, cols)
-		chunks = append(chunks, ChunkInfo{Start: start, Count: uint64(count), Sums: sums})
+		sums := make([]SigSum, nsig)
+		for s := range sums {
+			sums[s] = sumOf(v.col(s))
+		}
+		chunks = append(chunks, ChunkInfo{Start: start, Count: uint64(v.count), Sums: sums})
 	}
 	return chunks, nil
+}
+
+// chunkStarts lists the start cycles of the chunk files in dir, ascending.
+func chunkStarts(dir string, fsys faultinj.FS) ([]uint64, error) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var starts []uint64
+	for _, e := range entries {
+		rest, ok := strings.CutSuffix(e.Name(), ".ktrc")
+		if !ok || !strings.HasPrefix(rest, "c") {
+			continue
+		}
+		if n, err := strconv.ParseUint(rest[1:], 10, 64); err == nil {
+			starts = append(starts, n)
+		}
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	return starts, nil
 }
 
 // contiguousPrefix keeps the longest gap-free prefix of chunks: a recording

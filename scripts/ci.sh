@@ -6,6 +6,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every scratch file a stage writes (kdiff reproducers, the cuttlesim
+# binary, kbench reports) goes under one work dir, removed on exit.
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir -p "$work/kdiff-sweep" "$work/kdiff-regress"
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -75,14 +81,15 @@ go test ./internal/difftest -run='^$' -fuzz='^FuzzDifftest$' -fuzztime=5s
 go test ./internal/sim -run='^$' -fuzz='^FuzzSnapshotUnmarshal$' -fuzztime=5s
 go test ./internal/server -run='^$' -fuzz='^FuzzServerRequest$' -fuzztime=5s
 go test ./internal/tracedb -run='^$' -fuzz='^FuzzParseQuery$' -fuzztime=5s
+go test ./internal/tracedb -run='^$' -fuzz='^FuzzChunk$' -fuzztime=5s
 go test ./internal/debug -run='^$' -fuzz='^FuzzPredicate$' -fuzztime=5s
 go test ./internal/gomodel -run='^$' -fuzz='^FuzzConditionVM$' -fuzztime=5s
 
 echo "== kdiff generative sweep (fixed seeds, all engines, shrink on failure)"
 # Every engine in the matrix must track the reference interpreter in
 # lockstep over 200 generated designs; any divergence is shrunk and written
-# to the temp dir for the log.
-go run ./cmd/kdiff -seed 1 -count 200 -cycles 200 -engines all -o "$(mktemp -d)"
+# to the work dir for the log.
+go run ./cmd/kdiff -seed 1 -count 200 -cycles 200 -engines all -o "$work/kdiff-sweep"
 
 echo "== kdiff regression gate (examples/regress + Case Study 1 deadlock)"
 # The committed corpus is covered by TestRegressCorpus in go test; here CI
@@ -90,12 +97,12 @@ echo "== kdiff regression gate (examples/regress + Case Study 1 deadlock)"
 # detectable through the CLI's stall oracle.
 go run ./cmd/kdiff -cycles 2000 -engines interp \
     -progress c0_ops_done,c1_ops_done -stall 200 -check 'p_state==1,c0_ops_done>=1' \
-    -expect-bug -o "$(mktemp -d)" msi-buggy
+    -expect-bug -o "$work/kdiff-regress" msi-buggy
 
 echo "== cuttlesim CLI: engine names (valid name runs, bad name exits 1)"
 go run ./cmd/cuttlesim -engine 'rtlsim(koika,fused,opt)' -cycles 2000 collatz >/dev/null
 # go run maps every failure to 1, so the exit-code check runs the binary.
-cuttlesim_bin="$(mktemp -d)/cuttlesim"
+cuttlesim_bin="$work/cuttlesim"
 go build -o "$cuttlesim_bin" ./cmd/cuttlesim
 set +e; "$cuttlesim_bin" -engine 'cuttlesim(static,foo)' -cycles 10 collatz >/dev/null 2>&1; rc=$?; set -e
 [ "$rc" -eq 1 ] || { echo "bad engine name exited $rc, want 1" >&2; exit 1; }
@@ -112,13 +119,13 @@ echo "== quick-bench smoke (kbench -json, digest gate)"
 # Two designs through the whole engine grid (static and activity levels
 # included); -digest-check fails the run if any two engines disagree on the
 # final register state.
-go run ./cmd/kbench -json "$(mktemp)" -designs collatz,idle -digest-check -cycles 2000 -parallel 0
+go run ./cmd/kbench -json "$work/kbench.json" -designs collatz,idle -digest-check -cycles 2000 -parallel 0
 
 echo "== native tier: build-cache smoke + digest gate (kbench -engines native)"
 # collatz through the AOT grid on a throwaway compile cache: one cold go
 # build, one warm cache hit, and unconditional digest parity between the
 # compiled subprocess and the in-process engines.
-go run ./cmd/kbench -engines native -designs collatz -cycles 2000 -json "$(mktemp)"
+go run ./cmd/kbench -engines native -designs collatz -cycles 2000 -json "$work/kbench-native.json"
 
 echo "== native tier: lockstep gate over the zoo (subprocess vs interp)"
 # Every standalone zoo design runs compiled under the supervisor in
