@@ -1,7 +1,7 @@
 // Command ksimd is the simulation-as-a-service daemon: it hosts concurrent
 // simulation sessions behind a JSON HTTP API, with durable snapshots,
 // transparent eviction/resurrection, remote debugging (kdbg -connect), and
-// streamed VCD/NDJSON traces.
+// recorded traces (indexed queries, diffs, VCD).
 //
 // Usage:
 //
@@ -76,7 +76,7 @@ func main() {
 		store    = fs.String("store", "", "durable snapshot directory (empty = no durability)")
 		maxSess  = fs.Int("max-sessions", 64, "live session bound; excess evicts LRU durable sessions")
 		maxBody  = fs.Int64("max-body", 1<<20, "request body limit in bytes")
-		stepTO   = fs.Duration("step-timeout", 30*time.Second, "simulation budget per step/trace request")
+		stepTO   = fs.Duration("step-timeout", 30*time.Second, "simulation budget per step request")
 		maxStep  = fs.Uint64("max-step", 100_000_000, "cycle cap per step request")
 		workers  = fs.Int("workers", 0, "concurrent simulation requests (0 = 2 per CPU)")
 		addrFile = fs.String("addr-file", "", "also write the bound address to this file")

@@ -51,9 +51,9 @@ func runRouter(backends, addr, addrFile, store string, healthIv time.Duration) {
 	hs := &http.Server{
 		Handler:           rt.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
-		// No WriteTimeout: trace streams proxy through for as long as the
-		// backend serves them; the backend's own rolling deadline bounds a
-		// stalled client.
+		// No WriteTimeout: a trace/vcd response proxies through for as long
+		// as the backend serves it; the backend's own write deadline bounds
+		// a stalled client.
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

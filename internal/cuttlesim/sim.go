@@ -138,6 +138,9 @@ func (s *Simulator) SetReg(name string, v bits.Bits) {
 // RuleFired implements sim.Engine.
 func (s *Simulator) RuleFired(rule string) bool { return s.m.fired[s.d.RuleIndex(rule)] }
 
+// ReadFired implements sim.RowReader.
+func (s *Simulator) ReadFired(dst []uint64) { sim.PackFired(dst, s.m.fired) }
+
 // Cycle implements sim.Engine. At LActivity, parked rules (skippable rules
 // whose last abort was at an explicit fail node) are skipped while their
 // read set is clean; see activity.go for the protocol and its soundness

@@ -2,6 +2,8 @@ package debug
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"cuttlego/internal/ast"
@@ -239,6 +241,10 @@ func TestCompileRejects(t *testing.T) {
 		"nosuch.rd0() == 32'd0",                // unknown register
 		"x.rd0()",                              // not 1-bit
 		"zz == 1'd1",                           // unbound variable
+		"fired(nosuch)",                        // unknown rule
+		"fired(x.rd0() == 32'd1)",              // not a rule name
+		"fired(divide, divide)",                // two arguments
+		"fired(divide) == 2'd1",                // fired(rule) is 1-bit
 	} {
 		if _, err := Compile(d, src); err == nil {
 			t.Errorf("Compile(%q) accepted", src)
@@ -246,6 +252,69 @@ func TestCompileRejects(t *testing.T) {
 		if _, err := CompileCondition(d, src); err == nil {
 			t.Errorf("CompileCondition(%q) accepted", src)
 		}
+	}
+}
+
+// TestFiredCondition: fired(rule) is set on exactly the cycles the rule
+// committed, alone and combined with register reads, through both compiled
+// forms; it reads the fired-rule words after the registers, and a
+// condition without it reads registers only.
+func TestFiredCondition(t *testing.T) {
+	bm, _ := bench.Lookup("msi")
+	inst := bm.New()
+	d := inst.Design
+	e, err := cuttlesim.New(d, cuttlesim.Options{Level: cuttlesim.LStatic, Backend: cuttlesim.Closure})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nregs := len(d.Registers)
+	if p, err := Compile(d, "c0_ops_done.rd0() == 32'd3"); err != nil || p.Fired || p.Reads[len(p.Reads)-1] >= nregs {
+		t.Fatalf("register condition: %+v, %v; want no fired-rule reads", p, err)
+	}
+	type cond struct {
+		src  string
+		want func() bool
+		eval func(sim.Engine) bool
+	}
+	var conds []cond
+	for i, r := range d.Rules {
+		for _, src := range []string{"fired(" + r.Name + ")", "fired(" + r.Name + ") & c0_ops_done.rd0()[0 +: 1] == 1'd1"} {
+			p, err := Compile(d, src)
+			if err != nil {
+				t.Fatalf("Compile(%q): %v", src, err)
+			}
+			if !p.Fired || !slices.Contains(p.Reads, nregs+i/64) {
+				t.Fatalf("%s reads %v (fired %v), want fired word %d", src, p.Reads, p.Fired, nregs+i/64)
+			}
+			eval, err := CompileCondition(d, src)
+			if err != nil {
+				t.Fatalf("CompileCondition(%q): %v", src, err)
+			}
+			name, both := r.Name, strings.Contains(src, "&")
+			conds = append(conds, cond{src, func() bool {
+				return e.RuleFired(name) && (!both || e.Reg("c0_ops_done").Val&1 == 1)
+			}, eval})
+		}
+	}
+	tb := inst.Bench
+	if tb == nil {
+		tb = sim.NopBench{}
+	}
+	hits := 0
+	for c := 0; c < 300; c++ {
+		tb.BeforeCycle(e)
+		e.Cycle()
+		tb.AfterCycle(e)
+		for _, k := range conds {
+			if got, want := k.eval(e), k.want(); got != want {
+				t.Fatalf("cycle %d: %s = %v, want %v", e.CycleCount(), k.src, got, want)
+			} else if got {
+				hits++
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no fired condition ever held")
 	}
 }
 

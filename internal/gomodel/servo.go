@@ -52,22 +52,26 @@ import (
 //
 // Reply: u64 cycleCount | fired bitmap | u64 cycles run | u32 index of the
 // condition that held (0xffffffff: none) | u32 nentries | nentries x (u64
-// repeat | nregs x u64 row) | nregs x u64 final state. When recording, the
-// entries hold one row per cycle run, in order, the first for cycle
-// cycleCount-run+1; an activity-tier fixed point sends its remaining
-// cycles as the repeat count of its row rather than as copies. Without
-// recording there are no entries. Version 2 of the protocol added 'u';
-// version 3 retired step, peek, peek-all and snapshot, which 'u' and the
-// supervisor's register mirror cover.
+// repeat | nrow x u64 row) | nregs x u64 final state. A row is the watched
+// row of sim.RowLen: the nregs register payloads, then ceil(nrules/64)
+// fired-rule words (bit i%64 of word i/64: rule i committed). Rows are
+// built only when the request has conditions, which evaluate over them,
+// or records. When recording, the entries hold one row per cycle run, in
+// order, the first for cycle cycleCount-run+1; an activity-tier fixed
+// point sends its remaining cycles as the repeat count of its row rather
+// than as copies. Without recording there are no entries. Version 2 of
+// the protocol added 'u'; version 3 retired step, peek, peek-all and
+// snapshot, which 'u' and the supervisor's register mirror cover; version
+// 4 added the fired-rule words to rows.
 const (
 	// ProtocolVersion is the servo wire protocol version; the handshake
 	// carries it and the supervisor rejects mismatches.
-	ProtocolVersion = 3
+	ProtocolVersion = 4
 
 	// EmitterVersion changes whenever the generated code's observable
 	// behavior can change; it is part of the native tier's compile-cache
 	// key, so stale binaries miss rather than lie.
-	EmitterVersion = "gomodel-servo/3"
+	EmitterVersion = "gomodel-servo/4"
 )
 
 // condVMSource is condvm.go, whose body every servo program carries.
@@ -281,13 +285,14 @@ func (g *gen) afterCycleFunc() {
 }
 
 // runUntilFunc emits runUntil, the run-until request's body: n cycles with
-// the embedded testbench, the stop conditions evaluated, and the row
-// recorded, after every one. On the activity tier a cycle in which no rule
-// fired and the testbench wrote nothing is a fixed point: no condition can
-// change value, so the remaining cycles only advance the counter and are
-// recorded as a repeat count.
+// the embedded testbench, the row built, the stop conditions evaluated over
+// it and the row recorded, after every one. On the activity tier a cycle
+// in which no rule fired and the testbench wrote nothing is a fixed point:
+// no condition can change value, so the remaining cycles only advance the
+// counter and are recorded as a repeat count.
 func (g *gen) runUntilFunc() {
 	fbLen := (len(g.d.Rules) + 7) / 8
+	rowLen := len(g.d.Registers) + (len(g.d.Rules)+63)/64
 	moved, fixed := "\tcycle()", ""
 	if g.activity {
 		moved = `	moved := cycle()`
@@ -297,7 +302,7 @@ func (g *gen) runUntilFunc() {
 			cycles += k
 			ran += k
 			if record {
-				binary.LittleEndian.PutUint64(resp[len(resp)-8-8*len(state):], 1+k)
+				binary.LittleEndian.PutUint64(resp[len(resp)-8-8*len(untilRow):], 1+k)
 			}
 			break
 		}`
@@ -314,6 +319,9 @@ type untilCond struct{ prog, stk, loc []uint64 }
 
 // untilResp is the run-until reply buffer, reused between requests.
 var untilResp []byte
+
+// untilRow is the watched row: the registers, then the fired-rule words.
+var untilRow [%[5]d]uint64
 
 // runUntil serves a run-until request, returning the reply payload or an
 // error message.
@@ -340,7 +348,7 @@ func runUntil(payload []byte) ([]byte, string) {
 			prog[i] = binary.LittleEndian.Uint64(rest[8*i:])
 		}
 		rest = rest[8*nw:]
-		stack, locals, ok := vmCheck(prog, len(state))
+		stack, locals, ok := vmCheck(prog, len(untilRow))
 		if !ok {
 			return nil, "run-until: malformed condition program"
 		}
@@ -349,6 +357,7 @@ func runUntil(payload []byte) ([]byte, string) {
 	if len(rest) != 0 {
 		return nil, "run-until: trailing bytes"
 	}
+	watch := record || len(conds) > 0
 	const hdr = 8 + %[1]d + 8 + 4 + 4
 	resp := append(untilResp[:0], make([]byte, hdr)...)
 	var ran uint64
@@ -360,22 +369,32 @@ func runUntil(payload []byte) ([]byte, string) {
 		afterCycle()%[4]s
 		cycles++
 		ran++
-		if record {
-			resp = binary.LittleEndian.AppendUint64(resp, 1)
-			for _, v := range state {
-				resp = binary.LittleEndian.AppendUint64(resp, v)
+		if watch {
+			copy(untilRow[:], state[:])
+			fw := untilRow[len(state):]
+			clear(fw)
+			for i, f := range fired {
+				if f {
+					fw[i>>6] |= 1 << (i & 63)
+				}
 			}
-			entries++
-		}
-		for k := range conds {
-			c := &conds[k]
-			if vmEval(c.prog, state[:], c.stk, c.loc) != 0 {
-				hit = uint32(k)
+			if record {
+				resp = binary.LittleEndian.AppendUint64(resp, 1)
+				for _, v := range untilRow {
+					resp = binary.LittleEndian.AppendUint64(resp, v)
+				}
+				entries++
+			}
+			for k := range conds {
+				c := &conds[k]
+				if vmEval(c.prog, untilRow[:], c.stk, c.loc) != 0 {
+					hit = uint32(k)
+					break
+				}
+			}
+			if hit != ^uint32(0) {
 				break
 			}
-		}
-		if hit != ^uint32(0) {
-			break
 		}%[3]s
 	}
 	for _, v := range state {
@@ -392,7 +411,7 @@ func runUntil(payload []byte) ([]byte, string) {
 	binary.LittleEndian.PutUint32(resp[20+%[1]d:], entries)
 	untilResp = resp
 	return resp, ""
-}`, fbLen, moved, fixed, gen), 0)
+}`, fbLen, moved, fixed, gen, rowLen), 0)
 }
 
 // snapDecodeFunc emits the KSNP v2 decoder (the wire format internal/sim

@@ -93,6 +93,9 @@ func (s *Simulator) SetReg(name string, v bits.Bits) {
 // RuleFired implements sim.Engine.
 func (s *Simulator) RuleFired(rule string) bool { return s.fired[s.d.RuleIndex(rule)] }
 
+// ReadFired implements sim.RowReader.
+func (s *Simulator) ReadFired(dst []uint64) { sim.PackFired(dst, s.fired) }
+
 // Snapshot implements sim.Snapshotter.
 func (s *Simulator) Snapshot() sim.Snapshot {
 	regs := make([]bits.Bits, len(s.state))

@@ -5,7 +5,6 @@
 package kclient
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -17,7 +16,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"cuttlego/internal/server"
@@ -29,7 +27,6 @@ type Client struct {
 	hc         *http.Client
 	retry      RetryPolicy
 	reqTimeout time.Duration
-	streamIdle time.Duration
 	jitter     jitterSource
 }
 
@@ -51,7 +48,6 @@ func NewWithOptions(base string, opts Options) *Client {
 		hc:         &http.Client{Transport: opts.Transport},
 		retry:      opts.Retry.withDefaults(),
 		reqTimeout: opts.RequestTimeout,
-		streamIdle: opts.StreamIdleTimeout,
 	}
 	if opts.Retry.Seed != 0 {
 		c.jitter.rng = mrand.New(mrand.NewSource(opts.Retry.Seed))
@@ -319,26 +315,6 @@ func (c *Client) Reverse(ctx context.Context, id string, cycles uint64) (server.
 	return info, err
 }
 
-// Trace opens the streamed trace of the next cycles cycles; format is
-// "events" (NDJSON) or "vcd". The caller owns the returned body.
-func (c *Client) Trace(ctx context.Context, id string, cycles uint64, format string) (io.ReadCloser, error) {
-	u := c.base + "/v1/sessions/" + url.PathEscape(id) + "/trace?cycles=" +
-		strconv.FormatUint(cycles, 10) + "&format=" + url.QueryEscape(format)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 300 {
-		defer resp.Body.Close()
-		return nil, decodeError(resp)
-	}
-	return resp.Body, nil
-}
-
 // TraceRecord switches a session's trace recording on or off and returns
 // the recording's status.
 func (c *Client) TraceRecord(ctx context.Context, id string, enable bool) (server.TraceStatus, error) {
@@ -387,70 +363,4 @@ func (c *Client) TraceVCD(ctx context.Context, id string, from, to uint64) (io.R
 		return nil, decodeError(resp)
 	}
 	return resp.Body, nil
-}
-
-// ErrStreamCanceled reports a trace stream torn down because the caller's
-// context ended mid-stream.
-var ErrStreamCanceled = errors.New("kclient: trace stream canceled")
-
-// ErrStreamStalled reports a trace stream torn down by the idle watchdog:
-// no event arrived within Options.StreamIdleTimeout.
-var ErrStreamStalled = errors.New("kclient: trace stream stalled")
-
-// TraceEvents runs an NDJSON trace to completion, invoking fn per event.
-// The stream honors ctx — cancellation aborts a blocked read and reports
-// ErrStreamCanceled — and, when the client has a StreamIdleTimeout, a
-// stream that stops producing events is torn down with ErrStreamStalled
-// instead of blocking forever on a wedged daemon.
-func (c *Client) TraceEvents(ctx context.Context, id string, cycles uint64, fn func(server.TraceEvent) error) error {
-	body, err := c.Trace(ctx, id, cycles, "events")
-	if err != nil {
-		return err
-	}
-	defer body.Close()
-	// Closing the body is what unblocks a reader stuck in Scan: the request
-	// context aborts transport reads too, but an explicit AfterFunc also
-	// covers recorded/hijacked bodies that ignore the request context.
-	stop := context.AfterFunc(ctx, func() { body.Close() })
-	defer stop()
-	var stalled atomic.Bool
-	var idle *time.Timer
-	if c.streamIdle > 0 {
-		idle = time.AfterFunc(c.streamIdle, func() {
-			stalled.Store(true)
-			body.Close()
-		})
-		defer idle.Stop()
-	}
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if idle != nil {
-			idle.Reset(c.streamIdle)
-		}
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev server.TraceEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return c.streamErr(ctx, &stalled, fmt.Errorf("trace stream: %w", err))
-		}
-		if err := fn(ev); err != nil {
-			return err
-		}
-	}
-	return c.streamErr(ctx, &stalled, sc.Err())
-}
-
-// streamErr maps a stream teardown to its typed cause: the raw read error
-// after an injected close is an unhelpful "read on closed body".
-func (c *Client) streamErr(ctx context.Context, stalled *atomic.Bool, err error) error {
-	switch {
-	case stalled.Load():
-		return fmt.Errorf("%w: no event within %s", ErrStreamStalled, c.streamIdle)
-	case ctx.Err() != nil:
-		return fmt.Errorf("%w: %v", ErrStreamCanceled, ctx.Err())
-	}
-	return err
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -180,58 +179,4 @@ func TestTransportErrorRetrySafety(t *testing.T) {
 			t.Fatalf("keyed POST hit server %d times, want 2 (reset + retry)", got)
 		}
 	})
-}
-
-// traceServer streams n NDJSON events then optionally hangs until the
-// request dies.
-func traceServer(t *testing.T, n int, thenHang bool) *httptest.Server {
-	t.Helper()
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		fl := w.(http.Flusher)
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(w, `{"cycle":%d}`+"\n", i+1)
-			fl.Flush()
-		}
-		if thenHang {
-			<-r.Context().Done()
-		}
-	}))
-}
-
-func TestTraceEventsHonorsContext(t *testing.T) {
-	ts := traceServer(t, 1, true)
-	defer ts.Close()
-	c := kclient.New(ts.URL)
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		errc <- c.TraceEvents(ctx, "s1", 100, func(ev server.TraceEvent) error {
-			cancel() // first event arrives, then the stream hangs
-			return nil
-		})
-	}()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, kclient.ErrStreamCanceled) {
-			t.Fatalf("err = %v, want ErrStreamCanceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("TraceEvents did not return after ctx cancel")
-	}
-}
-
-func TestTraceEventsIdleWatchdog(t *testing.T) {
-	ts := traceServer(t, 1, true)
-	defer ts.Close()
-	c := kclient.NewWithOptions(ts.URL, kclient.Options{StreamIdleTimeout: 100 * time.Millisecond})
-	start := time.Now()
-	err := c.TraceEvents(context.Background(), "s1", 100, func(server.TraceEvent) error { return nil })
-	if !errors.Is(err, kclient.ErrStreamStalled) {
-		t.Fatalf("err = %v, want ErrStreamStalled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("stall detection took %s", elapsed)
-	}
 }

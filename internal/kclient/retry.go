@@ -52,9 +52,6 @@ type Options struct {
 	// RequestTimeout bounds each individual attempt (not the whole retry
 	// loop — the caller's ctx does that). Zero means no per-attempt bound.
 	RequestTimeout time.Duration
-	// StreamIdleTimeout aborts a trace stream that delivers no event for
-	// this long (ErrStreamStalled). Zero disables the idle watchdog.
-	StreamIdleTimeout time.Duration
 }
 
 // jitterSource serializes jitter draws; a seeded math/rand.Rand is not

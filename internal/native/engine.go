@@ -79,7 +79,8 @@ type Engine struct {
 
 	// rbuf holds the last response frame, wbuf the run-until request being
 	// built and hdr a frame header; all are reused, so a steady stream of
-	// batches allocates nothing. row is RunUntil's decoded row.
+	// batches allocates nothing. row is RunUntil's decoded row: registers,
+	// then fired-rule words (sim.RowLen).
 	rbuf, wbuf []byte
 	hdr        [5]byte
 	row        []uint64
@@ -127,6 +128,7 @@ func launch(d *ast.Design, res BuildResult, owner *Cache) (*Engine, error) {
 		waitDone: make(chan struct{}),
 		fired:    make([]byte, (len(d.Rules)+7)/8),
 		mirror:   make([]uint64, len(d.Registers)),
+		row:      make([]uint64, sim.RowLen(d)),
 	}
 	for i, r := range d.Registers {
 		e.regIdx[r.Name] = i
@@ -340,7 +342,7 @@ const maxBatchBytes = 1 << 24
 func (e *Engine) RunUntil(ctx context.Context, n uint64, w *sim.Watch) (ran uint64, hit int, err error) {
 	batch := n
 	if w.OnRow != nil {
-		batch = max(1, maxBatchBytes/uint64(8+8*len(e.mirror)))
+		batch = max(1, maxBatchBytes/uint64(8+8*len(e.row)))
 	}
 	for ran < n {
 		select {
@@ -367,11 +369,7 @@ func (e *Engine) runBatch(n uint64, w *sim.Watch) (uint64, int, error) {
 	if err != nil || w.OnRow == nil {
 		return ran, hit, err
 	}
-	nregs := len(e.mirror)
-	if len(e.row) != nregs {
-		e.row = make([]uint64, nregs)
-	}
-	rowLen := 8 + 8*nregs
+	rowLen := 8 + 8*len(e.row)
 	for ; len(rows) > 0; rows = rows[rowLen:] {
 		for i := range e.row {
 			e.row[i] = binary.LittleEndian.Uint64(rows[8+8*i:])
@@ -420,7 +418,7 @@ func (e *Engine) runLocked(n uint64, w *sim.Watch) (uint64, int, []byte, error) 
 	ran := binary.LittleEndian.Uint64(resp[8+fb:])
 	hit := int(int32(binary.LittleEndian.Uint32(resp[16+fb:])))
 	entries := int(binary.LittleEndian.Uint32(resp[20+fb:]))
-	rowLen := 8 + 8*nregs
+	rowLen := 8 + 8*len(e.row)
 	rows := resp[hdr : len(resp)-8*nregs]
 	var sum uint64
 	for i := 0; i+rowLen <= len(rows); i += rowLen {
@@ -593,6 +591,16 @@ func (e *Engine) ReadRow(dst []uint64) {
 		panic(err)
 	}
 	copy(dst[:len(e.mirror)], e.mirror)
+}
+
+// ReadFired implements sim.RowReader: the last reply's fired flags.
+func (e *Engine) ReadFired(dst []uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	clear(dst)
+	for i, b := range e.fired {
+		dst[i>>3] |= uint64(b) << (8 * (i & 7))
+	}
 }
 
 // SetReg implements sim.Engine.

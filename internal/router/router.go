@@ -1,7 +1,8 @@
 // Package router implements the ksimd fleet gateway: one HTTP front door
 // that consistent-hash-routes session ids across N backend ksimd daemons,
-// forwards the existing JSON API transparently (trace streams flush
-// through; Idempotency-Key headers pass untouched), health-checks the
+// forwards the existing JSON API transparently (a trace/vcd response of
+// unknown length is flushed as it arrives, the ReverseProxy default;
+// Idempotency-Key headers pass untouched), health-checks the
 // backends, and re-homes sessions when their backend dies — the backends
 // share a durable store, so routing a session to a surviving node is enough
 // for the node's own transparent resurrection to revive it from its last
@@ -145,9 +146,6 @@ func New(cfg Config) (*Router, error) {
 				pr.SetURL(u)
 				pr.Out.Host = u.Host
 			},
-			// Trace streams are long-lived NDJSON/VCD; flush every write so
-			// the client sees events as the backend emits them.
-			FlushInterval: -1,
 			ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
 				// A refused connection means the backend is gone; mark it so
 				// the very next request re-homes instead of waiting for the

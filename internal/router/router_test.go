@@ -413,6 +413,18 @@ func TestRouterTraceEndpoints(t *testing.T) {
 		t.Fatalf("routed VCD (%d bytes, err %v) is not a VCD document", len(vcdBytes), err)
 	}
 
+	// The retired stream answers 410 through the gateway too, naming the
+	// recording path that replaces it.
+	gone, err := http.Get(f.url + "/v1/sessions/" + info.ID + "/trace?cycles=3&format=vcd")
+	if err != nil {
+		t.Fatalf("trace stream via router: %v", err)
+	}
+	msg, _ := io.ReadAll(gone.Body)
+	gone.Body.Close()
+	if gone.StatusCode != http.StatusGone || !strings.Contains(string(msg), "trace/record") || !strings.Contains(string(msg), "trace/vcd") {
+		t.Fatalf("routed trace stream = %d %s, want 410 naming trace/record and trace/vcd", gone.StatusCode, msg)
+	}
+
 	// Diff against a fork: the fork is pinned to the parent's backend, and
 	// both recordings live in the shared store.
 	fk, err := c.Fork(ctx, info.ID)

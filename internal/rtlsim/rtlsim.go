@@ -163,6 +163,9 @@ func (s *Simulator) SetReg(name string, v bits.Bits) {
 // RuleFired implements sim.Engine.
 func (s *Simulator) RuleFired(rule string) bool { return s.fired[s.d.RuleIndex(rule)] }
 
+// ReadFired implements sim.RowReader.
+func (s *Simulator) ReadFired(dst []uint64) { sim.PackFired(dst, s.fired) }
+
 // Cycle implements sim.Engine: refresh register outputs, evaluate the whole
 // netlist, then clock the registers.
 func (s *Simulator) Cycle() {

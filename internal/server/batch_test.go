@@ -7,6 +7,7 @@ package server
 import (
 	"context"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -38,8 +39,8 @@ func armedSession(t *testing.T, srv *Server, id string, req CreateRequest, cond 
 	return sess
 }
 
-// sameRecording demands that two sessions recorded the same rows over the
-// same cycles.
+// sameRecording demands that two sessions recorded the same rows, fired-rule
+// words included, over the same cycles.
 func sameRecording(t *testing.T, srv *Server, a, b *session) {
 	t.Helper()
 	var rd [2]*tracedb.Reader
@@ -65,15 +66,29 @@ func sameRecording(t *testing.T, srv *Server, a, b *session) {
 	if cyc, diverged, err := tracedb.FirstDivergence(rd[0], rd[1], 0, last[0]); err != nil || diverged {
 		t.Fatalf("recordings diverge at cycle %d (err %v)", cyc, err)
 	}
+	for cyc := uint64(0); cyc <= last[0]; cyc++ {
+		ra, err := rd[0].Row(cyc)
+		if err != nil {
+			t.Fatalf("%s row %d: %v", a.id, cyc, err)
+		}
+		rb, err := rd[1].Row(cyc)
+		if err != nil {
+			t.Fatalf("%s row %d: %v", b.id, cyc, err)
+		}
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("cycle %d: %s recorded %v, %s recorded %v", cyc, a.id, ra, b.id, rb)
+		}
+	}
 }
 
-// TestBreakpointPredicateParityAcrossTiers runs msi under one conditional breakpoint with
-// recording on, on cuttlesim and on the native tier from cycle 0. Every
+// TestBreakpointPredicateParityAcrossTiers runs msi under two conditional
+// breakpoints, one of them on a rule firing (fired(rule)), with recording
+// on, on cuttlesim, rtlsim, interp and the native tier from cycle 0. Every
 // step response — cycles run, breakpoint stop, fired rules — the final
-// digest and the recorded rows must be identical, and the servo's commit
-// rule profile must equal cuttlesim's (activity level, which parks rules
-// as the servo does) over the same cycles, which shows a native batch
-// never runs past a hit.
+// digest and the recorded rows, fired-rule words included, must be
+// identical, and the servo's commit rule profile must equal cuttlesim's
+// (activity level, which parks rules as the servo does) over the same
+// cycles, which shows a native batch never runs past a hit.
 func TestBreakpointPredicateParityAcrossTiers(t *testing.T) {
 	srv, err := New(Config{StoreDir: t.TempDir(), NativeCacheDir: t.TempDir()})
 	if err != nil {
@@ -81,34 +96,53 @@ func TestBreakpointPredicateParityAcrossTiers(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = srv.Close() })
 	const cond = "c0_ops_done.rd0() == 32'd40 | c1_ops_done.rd0() == 32'd77 | c0_ops_done.rd0() == 32'd300"
+	// c0_handle_down commits with c0 at 120 operations once, at cycle 715.
+	const firedCond = "fired(c0_handle_down) & c0_ops_done.rd0() == 32'd120"
 	cs := armedSession(t, srv, "cs", CreateRequest{Catalog: "msi", Level: "activity"}, cond)
-	nat := armedSession(t, srv, "nat", CreateRequest{Catalog: "msi", Engine: "native"}, cond)
+	others := []*session{
+		armedSession(t, srv, "nat", CreateRequest{Catalog: "msi", Engine: "native"}, cond),
+		armedSession(t, srv, "rt", CreateRequest{Catalog: "msi", Engine: "rtlsim"}, cond),
+		armedSession(t, srv, "ip", CreateRequest{Catalog: "msi", Engine: "interp"}, cond),
+	}
+	for _, s := range append([]*session{cs}, others...) {
+		if err := s.setBreak(BreakRequest{Cond: firedCond}); err != nil {
+			t.Fatalf("break(%s): %v", s.id, err)
+		}
+	}
 	ctx := context.Background()
-	hits := 0
+	hits, firedAt := 0, uint64(0)
 	for b := 0; cs.info().Cycle < 5000; b++ {
 		n := []uint64{1, 50, 64, 200, 1000, 3, 700}[b%7]
 		want, err := cs.run(ctx, n)
 		if err != nil {
 			t.Fatalf("cuttlesim step: %v", err)
 		}
-		got, err := nat.run(ctx, n)
-		if err != nil {
-			t.Fatalf("native step: %v", err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d of %d cycles: native %+v, cuttlesim %+v", b, n, got, want)
+		for _, o := range others {
+			got, err := o.run(ctx, n)
+			if err != nil {
+				t.Fatalf("%s step: %v", o.id, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d of %d cycles: %s %+v, cuttlesim %+v", b, n, o.id, got, want)
+			}
 		}
 		if want.Stopped != "" {
 			hits++
 		}
+		if strings.Contains(want.Stopped, "fired(") {
+			firedAt = want.Cycle
+		}
 	}
-	if hits < 3 {
-		t.Fatalf("breakpoint hit %d times; the run should cross at least 3 hits", hits)
+	if hits < 4 || firedAt != 715 {
+		t.Fatalf("breakpoints hit %d times, the fired one at cycle %d; want at least 4 hits, the fired one at 715", hits, firedAt)
 	}
-	if a, b := cs.info(), nat.info(); a.Digest != b.Digest || a.Cycle != b.Cycle {
-		t.Fatalf("final state: cuttlesim cycle %d digest %s, native cycle %d digest %s", a.Cycle, a.Digest, b.Cycle, b.Digest)
+	nat := others[0]
+	for _, o := range others {
+		if a, b := cs.info(), o.info(); a.Digest != b.Digest || a.Cycle != b.Cycle {
+			t.Fatalf("final state: cuttlesim cycle %d digest %s, %s cycle %d digest %s", a.Cycle, a.Digest, o.id, b.Cycle, b.Digest)
+		}
+		sameRecording(t, srv, cs, o)
 	}
-	sameRecording(t, srv, cs, nat)
 	pa, err := cs.profile()
 	if err != nil {
 		t.Fatalf("cuttlesim profile: %v", err)

@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"cuttlego/internal/faultinj"
+	"cuttlego/internal/sim"
 )
 
-// TestPredicateRowAllocatesNothing: once a session has a breakpoint armed
+// TestPredicateRowAllocatesNothing: once a session has breakpoints armed
 // and is recording, the per-cycle work stepping adds — one row fill from
-// the engine and each compiled predicate over it — allocates nothing.
+// the engine, fired-rule words included, and each compiled predicate over
+// it — allocates nothing.
 func TestPredicateRowAllocatesNothing(t *testing.T) {
 	srv, err := New(Config{})
 	if err != nil {
@@ -24,6 +26,9 @@ func TestPredicateRowAllocatesNothing(t *testing.T) {
 	if err := sess.setBreak(BreakRequest{Cond: "c0_ops_done.rd0() == 32'd9 | p_state.rd1() == pstate::ConfirmDowngrades"}); err != nil {
 		t.Fatalf("setBreak: %v", err)
 	}
+	if err := sess.setBreak(BreakRequest{Cond: "fired(" + sess.design().Rules[3].Name + ") & c0_ops_done.rd0() == 32'd1000"}); err != nil {
+		t.Fatalf("setBreak: %v", err)
+	}
 	if err := sess.record(true, filepath.Join(t.TempDir(), "trace"), faultinj.OS()); err != nil {
 		t.Fatalf("record: %v", err)
 	}
@@ -33,9 +38,12 @@ func TestPredicateRowAllocatesNothing(t *testing.T) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	var hits int
+	rr := sess.eng.(sim.RowReader)
+	row := make([]uint64, sim.RowLen(sess.design()))
 	allocs := testing.AllocsPerRun(200, func() {
 		sess.eng.Cycle()
-		row := sess.rowLocked()
+		rr.ReadRow(row[:sess.nRegs])
+		rr.ReadFired(row[sess.nRegs:])
 		for _, c := range sess.conds {
 			if c.pred.Eval(row) {
 				hits++

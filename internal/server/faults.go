@@ -34,6 +34,7 @@ func (f *faultEngine) Cycle() {
 func (f *faultEngine) Reg(name string) bits.Bits       { return f.inner.Reg(name) }
 func (f *faultEngine) SetReg(name string, v bits.Bits) { f.inner.SetReg(name, v) }
 func (f *faultEngine) ReadRow(dst []uint64)            { f.inner.(sim.RowReader).ReadRow(dst) }
+func (f *faultEngine) ReadFired(dst []uint64)          { f.inner.(sim.RowReader).ReadFired(dst) }
 func (f *faultEngine) CycleCount() uint64              { return f.inner.CycleCount() }
 func (f *faultEngine) RuleFired(rule string) bool      { return f.inner.RuleFired(rule) }
 

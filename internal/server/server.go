@@ -3,10 +3,10 @@
 // session wrapping one engine from the cuttlesim/rtlsim/interp matrix over
 // a design posted as .koika source or picked from the kbench catalogue.
 // Sessions are driven by batched step RPCs with register peek/poke, rule
-// profiles, conditional breakpoints, reverse execution, and streamed
-// VCD/NDJSON traces; self-driving sessions can be checkpointed to a durable
-// store, evicted under session-table pressure, restored after a daemon
-// restart, and forked for what-if exploration.
+// profiles, conditional breakpoints, reverse execution, and recorded
+// traces (indexed queries, diffs, VCD); self-driving sessions can be
+// checkpointed to a durable store, evicted under session-table pressure,
+// restored after a daemon restart, and forked for what-if exploration.
 //
 // Built only on the standard library (net/http, encoding/json): the thesis
 // of the paper is that compiled hardware models are ordinary software, and
@@ -31,7 +31,6 @@ import (
 	"cuttlego/internal/faultinj"
 	"cuttlego/internal/native"
 	"cuttlego/internal/sim"
-	"cuttlego/internal/vcd"
 )
 
 // Config sizes the daemon's limits. The zero value is usable: every field
@@ -747,7 +746,9 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sessions/{id}/restore", route(s, http.StatusOK, s.restoreOp))
 	s.mux.HandleFunc("POST /v1/sessions/{id}/fork", route(s, http.StatusCreated, s.forkOp))
 	s.mux.HandleFunc("POST /v1/sessions/{id}/reverse", route(s, http.StatusOK, s.reverseOp))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/trace", s.onSession(s.traceStream))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/trace", func(w http.ResponseWriter, _ *http.Request) {
+		writeError(w, errTraceStreamGone)
+	})
 	s.mux.HandleFunc("POST /v1/sessions/{id}/trace/record", route(s, http.StatusOK, s.traceRecordOp))
 	s.mux.HandleFunc("GET /v1/sessions/{id}/trace/status", route(s, http.StatusOK, s.traceStatusOp))
 	s.mux.HandleFunc("POST /v1/sessions/{id}/trace/query", route(s, http.StatusOK, s.traceQueryOp))
@@ -1150,111 +1151,6 @@ func (s *Server) reverseOp(r *http.Request, sess *session, req ReverseRequest) (
 	// Described apart, so a retirement right after the reverse re-runs
 	// only the description, never the reverse.
 	return s.infoOf(sess)
-}
-
-// traceStream streams a trace of the next N cycles: format=vcd streams a
-// Value Change Dump, format=events (default) streams NDJSON TraceEvent
-// lines. The response is chunked; the session advances as the trace runs.
-func (s *Server) traceStream(w http.ResponseWriter, r *http.Request, sess *session) error {
-	q := r.URL.Query()
-	cycles, err := strconv.ParseUint(q.Get("cycles"), 10, 64)
-	if err != nil || cycles == 0 || cycles > s.cfg.MaxStepCycles {
-		return fmt.Errorf("trace wants cycles in [1, %d], got %q", s.cfg.MaxStepCycles, q.Get("cycles"))
-	}
-	format := q.Get("format")
-	if format == "" {
-		format = "events"
-	}
-	if format != "events" && format != "vcd" {
-		return fmt.Errorf("unknown trace format %q (want events or vcd)", format)
-	}
-	// Check before queueing: a wedged session's mu may be held forever.
-	if err := sess.check(); err != nil {
-		return err
-	}
-	if err := s.acquire(r.Context()); err != nil {
-		return fmt.Errorf("queue wait: %w", err)
-	}
-	defer s.release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.StepTimeout)
-	defer cancel()
-
-	if err := sess.lock(); err != nil {
-		return err
-	}
-	defer sess.mu.Unlock()
-	// Tracing executes cycles, so a lazy fork diverges here.
-	if err := sess.materializeLocked(); err != nil {
-		return err
-	}
-	// The stream holds sess.mu and a worker-pool slot, and the step-timeout
-	// ctx only bounds simulation — not writes to a stalled client. A rolling
-	// write deadline, extended on every flush while the stream progresses,
-	// fails blocked writes instead, so a dead client cannot pin the session
-	// and a slot forever. (SetWriteDeadline errors are ignored: recorders
-	// and exotic transports without deadlines just keep the old behavior.)
-	rc := http.NewResponseController(w)
-	flush := func() {
-		_ = rc.Flush()
-		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StepTimeout))
-	}
-	_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StepTimeout))
-	var ran uint64
-	defer func() { s.addCycles(ran) }()
-	switch format {
-	case "vcd":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		vw := vcd.New(w, sess.eng)
-		if err := vw.Sample(); err != nil {
-			return nil
-		}
-		var sinceFlush int
-		n, _, err := sess.stepLocked(ctx, cycles, func() error {
-			if err := vw.Sample(); err != nil {
-				return err
-			}
-			if sinceFlush++; sinceFlush >= 1024 {
-				sinceFlush = 0
-				flush()
-			}
-			return nil
-		})
-		ran = n
-		_ = err // the status line is out; the stream just ends
-		flush()
-	default:
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		enc := json.NewEncoder(w)
-		d := sess.design()
-		last := sim.StateOf(sess.eng)
-		n, _, _ := sess.stepLocked(ctx, cycles, func() error {
-			ev := TraceEvent{Cycle: sess.eng.CycleCount()}
-			for _, name := range d.Schedule {
-				if sess.eng.RuleFired(name) {
-					ev.Fired = append(ev.Fired, name)
-				}
-			}
-			now := sim.StateOf(sess.eng)
-			for i, v := range now {
-				if v != last[i] {
-					if ev.Changed == nil {
-						ev.Changed = make(map[string]RegValue)
-					}
-					ev.Changed[d.Registers[i].Name] = FromBits(v)
-				}
-			}
-			last = now
-			if err := enc.Encode(ev); err != nil {
-				return err
-			}
-			flush()
-			return nil
-		})
-		ran = n
-	}
-	return nil
 }
 
 // Describe returns a one-line description of the daemon's limits, for the

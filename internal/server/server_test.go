@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -557,68 +556,56 @@ func TestForkAndReverse(t *testing.T) {
 	}
 }
 
+// TestTraceStreams: a session's waveform comes from its recording. Record,
+// step, then read the rules fired back as fired(rule) queries and the
+// waveform as VCD; the retired streaming endpoint answers 410 and names
+// that path.
 func TestTraceStreams(t *testing.T) {
-	_, c := newTestDaemon(t, server.Config{})
+	srv, c := newTestDaemon(t, server.Config{StoreDir: t.TempDir()})
 	ctx := context.Background()
 	info, err := c.Create(ctx, server.CreateRequest{Source: gcdSrc})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	var events []server.TraceEvent
-	err = c.TraceEvents(ctx, info.ID, 20, func(ev server.TraceEvent) error {
-		events = append(events, ev)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("trace events: %v", err)
+	rr := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/sessions/"+info.ID+"/trace?cycles=20&format=events", nil))
+	if body := rr.Body.String(); rr.Code != http.StatusGone || !strings.Contains(body, "trace/record") || !strings.Contains(body, "trace/vcd") {
+		t.Fatalf("GET /trace = %d %s, want 410 naming trace/record and trace/vcd", rr.Code, body)
 	}
-	if len(events) != 20 {
-		t.Fatalf("got %d events, want 20", len(events))
+	if _, err := c.TraceRecord(ctx, info.ID, true); err != nil {
+		t.Fatalf("record: %v", err)
 	}
-	for i, ev := range events {
-		if ev.Cycle != uint64(i+1) {
-			t.Fatalf("event %d at cycle %d, want %d", i, ev.Cycle, i+1)
-		}
+	if _, err := c.Step(ctx, info.ID, 20); err != nil {
+		t.Fatalf("step: %v", err)
 	}
-	if len(events[0].Fired) == 0 || len(events[0].Changed) == 0 {
-		t.Fatalf("first event should fire rules and change registers: %+v", events[0])
+	// The first cycle runs subtract (a > b) and not swap; subtract keeps
+	// firing until done.
+	first, err := c.TraceQuery(ctx, info.ID, server.TraceQueryRequest{Query: "first fired(subtract)"})
+	if err != nil || !first.Matched || first.Cycle != 1 {
+		t.Fatalf("first fired(subtract) = %+v, %v; want cycle 1", first, err)
 	}
-	// VCD stream: header plus one timestep per value-changing cycle (use a
-	// design that never quiesces, so every cycle changes something).
-	busy, err := c.Create(ctx, server.CreateRequest{Catalog: "collatz"})
-	if err != nil {
-		t.Fatalf("create collatz: %v", err)
+	swap, err := c.TraceQuery(ctx, info.ID, server.TraceQueryRequest{Query: "first fired(swap) in 1..1"})
+	if err != nil || swap.Matched {
+		t.Fatalf("first fired(swap) in 1..1 = %+v, %v; want no match", swap, err)
 	}
-	body, err := c.Trace(ctx, busy.ID, 10, "vcd")
+	// One VCD timestep per cycle that changed a register: the baseline at
+	// 0 and cycle 1 at least.
+	body, err := c.TraceVCD(ctx, info.ID, 0, 20)
 	if err != nil {
 		t.Fatalf("trace vcd: %v", err)
 	}
-	defer body.Close()
 	data, err := io.ReadAll(body)
+	body.Close()
 	if err != nil {
 		t.Fatalf("read vcd: %v", err)
 	}
 	text := string(data)
-	if !strings.Contains(text, "$enddefinitions") {
-		t.Fatalf("vcd stream missing header:\n%s", text)
+	if !strings.Contains(text, "$enddefinitions") || !strings.Contains(text, "\n#1\n") {
+		t.Fatalf("recorded VCD lacks its header or cycle 1:\n%s", text)
 	}
-	steps := 0
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "#") {
-			steps++
-		}
-	}
-	if steps < 10 {
-		t.Fatalf("vcd stream has %d timesteps, want >= 10:\n%s", steps, text)
-	}
-	// Traces advance their sessions like any other step.
 	got, err := c.Info(ctx, info.ID)
 	if err != nil || got.Cycle != 20 {
-		t.Fatalf("cycle after events trace = %+v, %v; want 20", got, err)
-	}
-	got, err = c.Info(ctx, busy.ID)
-	if err != nil || got.Cycle != 10 {
-		t.Fatalf("cycle after vcd trace = %+v, %v; want 10", got, err)
+		t.Fatalf("cycle after recorded steps = %+v, %v; want 20", got, err)
 	}
 }
 
@@ -787,12 +774,12 @@ func TestHTTPStatusContract(t *testing.T) {
 		{"bad break expression", func() *httptest.ResponseRecorder {
 			return post("/v1/sessions/"+info.ID+"/break", `{"cond":"(((("}`)
 		}, http.StatusBadRequest},
-		{"bad trace format", func() *httptest.ResponseRecorder {
-			return get("/v1/sessions/" + info.ID + "/trace?cycles=5&format=gif")
+		{"fired of an unknown rule", func() *httptest.ResponseRecorder {
+			return post("/v1/sessions/"+info.ID+"/break", `{"cond":"fired(no_such_rule)"}`)
 		}, http.StatusBadRequest},
-		{"trace without cycles", func() *httptest.ResponseRecorder {
-			return get("/v1/sessions/" + info.ID + "/trace")
-		}, http.StatusBadRequest},
+		{"retired trace stream", func() *httptest.ResponseRecorder {
+			return get("/v1/sessions/" + info.ID + "/trace?cycles=5&format=vcd")
+		}, http.StatusGone},
 		{"restore unknown checkpoint", func() *httptest.ResponseRecorder {
 			return post("/v1/sessions/"+info.ID+"/restore", `{"checkpoint":"c999999"}`)
 		}, http.StatusBadRequest},
@@ -907,30 +894,4 @@ func FuzzServerRequest(f *testing.F) {
 			t.Fatalf("%s %s with body %q returned %d: %s", method, path, body, rr.Code, rr.Body)
 		}
 	})
-}
-
-// TestTraceStreamIsChunked checks the NDJSON stream arrives incrementally
-// (one line per cycle) rather than as a single buffered document.
-func TestTraceStreamIsChunked(t *testing.T) {
-	_, c := newTestDaemon(t, server.Config{})
-	ctx := context.Background()
-	info, err := c.Create(ctx, server.CreateRequest{Catalog: "collatz"})
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	body, err := c.Trace(ctx, info.ID, 5, "events")
-	if err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	defer body.Close()
-	sc := bufio.NewScanner(body)
-	lines := 0
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) > 0 {
-			lines++
-		}
-	}
-	if lines != 5 {
-		t.Fatalf("stream had %d lines, want 5", lines)
-	}
 }

@@ -93,12 +93,13 @@ type session struct {
 	restored bool
 
 	// rec, while non-nil, records every executed cycle into the session's
-	// on-disk trace store (row c = register values at cycle c). Guarded by
-	// mu; stepping hands it every row of a chunk (see stepLocked).
+	// on-disk trace store (row c = register values at cycle c and the rules
+	// fired in the cycle that led to it). Guarded by mu; stepping hands it
+	// every row of a chunk (see stepLocked).
 	rec      *tracedb.Recorder
 	traceDir string
 	traceFS  faultinj.FS
-	// row is the reused register row the recorder's first row after a
+	// row is the reused row (sim.RowLen) the recorder's first row after a
 	// start or a rewind is read into.
 	row []uint64
 
@@ -391,32 +392,29 @@ func (s *session) run(ctx context.Context, n uint64) (resp StepResponse, err err
 	if err := s.materializeLocked(); err != nil {
 		return resp, err
 	}
-	resp.Ran, resp.Stopped, err = s.stepLocked(ctx, n, nil)
+	resp.Ran, resp.Stopped, err = s.stepLocked(ctx, n)
 	if err == nil {
 		resp.Cycle, resp.Fired = s.eng.CycleCount(), s.fired()
 	}
 	return resp, err
 }
 
-// stepLocked is step's body; observe, when non-nil, runs after every cycle
-// (the trace stream). Callers hold mu.
+// stepLocked is step's body. Callers hold mu.
 //
 // Cycles run in bookkeeping chunks: up to the next snapshot boundary on a
-// durable session, at most 1024 cycles between ctx checks, and single
-// cycles only for an observer. Armed breakpoints and the recorder ride
-// inside the chunk: one sim.RunUntil call stops after the first cycle at
-// which a condition holds and hands the recorder every row, so hits,
-// fired flags, profiles and rows match stepping one cycle at a time.
-func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error) (uint64, string, error) {
+// durable session, and at most 1024 cycles between ctx checks. Armed
+// breakpoints and the recorder ride inside the chunk: one sim.RunUntil call
+// stops after the first cycle at which a condition holds and hands the
+// recorder every row, so hits, fired flags, profiles and rows match
+// stepping one cycle at a time.
+func (s *session) stepLocked(ctx context.Context, n uint64) (uint64, string, error) {
 	s.maybePromoteLocked()
 	start := s.eng.CycleCount()
 	w := s.watchLocked()
 	var i uint64
 	for i < n {
 		chunk := min(n-i, 1024)
-		if observe != nil {
-			chunk = 1
-		} else if s.durable() {
+		if s.durable() {
 			cyc := s.eng.CycleCount()
 			if to := snapInterval - cyc%snapInterval; to < chunk {
 				chunk = to
@@ -451,11 +449,6 @@ func (s *session) stepLocked(ctx context.Context, n uint64, observe func() error
 		if s.eng.CycleCount()%snapInterval == 0 {
 			s.recordSnapshot()
 		}
-		if observe != nil {
-			if err := observe(); err != nil {
-				return i, "", err
-			}
-		}
 		if hit >= 0 {
 			return i, fmt.Sprintf("condition %q at cycle %d", s.conds[hit].src, s.eng.CycleCount()), nil
 		}
@@ -475,8 +468,9 @@ func (s *session) watchLocked() *sim.Watch {
 		w.Conds = append(w.Conds, c.pred)
 	}
 	if rec := s.rec; rec != nil {
+		cols := rec.Meta().Columns() // a resumed format 1 recording keeps no fired words
 		w.OnRow = func(cycle uint64, row []uint64) error {
-			if err := rec.Append(cycle, row); err != nil {
+			if err := rec.Append(cycle, row[:cols]); err != nil {
 				return fmt.Errorf("trace recording: %w", err)
 			}
 			return nil
@@ -689,15 +683,30 @@ func (s *session) setBreak(req BreakRequest) (err error) {
 
 // --- trace recording --------------------------------------------------------
 
-// rowLocked reads every register into the session's reused row, in
-// declaration order — the tracedb schema order and the index space of
-// compiled breakpoints. Callers hold mu.
-func (s *session) rowLocked() []uint64 {
-	if s.row == nil {
-		s.row = make([]uint64, s.nRegs)
+// traceMeta is the schema of a session's new recordings: every register
+// and the fired rules.
+func (s *session) traceMeta() tracedb.Meta {
+	return tracedb.MetaFor(s.design(), tracedb.DefaultChunkCycles).WithRules(s.design())
+}
+
+// appendRowLocked records the engine's current row as rec's row for the
+// current cycle, unless rec already holds it: the first row after a start
+// or a rewind. Callers hold mu.
+func (s *session) appendRowLocked(rec *tracedb.Recorder) error {
+	cur := s.eng.CycleCount()
+	if last, ok := rec.LastCycle(); ok && last >= cur {
+		return nil
 	}
-	s.eng.(sim.RowReader).ReadRow(s.row)
-	return s.row
+	if s.row == nil {
+		s.row = make([]uint64, sim.RowLen(s.design()))
+	}
+	rr := s.eng.(sim.RowReader)
+	rr.ReadRow(s.row[:s.nRegs])
+	rr.ReadFired(s.row[s.nRegs:])
+	if err := rec.Append(cur, s.row[:rec.Meta().Columns()]); err != nil {
+		return fmt.Errorf("trace recording: %w", err)
+	}
+	return nil
 }
 
 // record switches trace recording on or off. Disabling flushes and detaches
@@ -753,15 +762,13 @@ func (s *session) startTraceLocked(dir string, fsys faultinj.FS) error {
 	}
 	if rec == nil {
 		var err error
-		rec, err = tracedb.Create(dir, fsys, tracedb.MetaFor(s.design(), tracedb.DefaultChunkCycles))
+		rec, err = tracedb.Create(dir, fsys, s.traceMeta())
 		if err != nil {
 			return fmt.Errorf("trace recording: %w", err)
 		}
 	}
-	if last, ok := rec.LastCycle(); !ok || last < cur {
-		if err := rec.Append(cur, s.rowLocked()); err != nil {
-			return fmt.Errorf("trace recording: %w", err)
-		}
+	if err := s.appendRowLocked(rec); err != nil {
+		return err
 	}
 	s.rec, s.traceDir, s.traceFS = rec, dir, fsys
 	return nil
@@ -778,7 +785,7 @@ func (s *session) rewindTraceLocked() error {
 	}
 	cur := s.eng.CycleCount()
 	if last, ok := s.rec.LastCycle(); ok && cur > last+1 {
-		rec, err := tracedb.Create(s.traceDir, s.traceFS, tracedb.MetaFor(s.design(), tracedb.DefaultChunkCycles))
+		rec, err := tracedb.Create(s.traceDir, s.traceFS, s.traceMeta())
 		if err != nil {
 			return fmt.Errorf("trace recording: %w", err)
 		}
@@ -786,12 +793,7 @@ func (s *session) rewindTraceLocked() error {
 	} else if err := s.rec.Truncate(cur); err != nil {
 		return fmt.Errorf("trace recording: %w", err)
 	}
-	if last, ok := s.rec.LastCycle(); !ok || last < cur {
-		if err := s.rec.Append(cur, s.rowLocked()); err != nil {
-			return fmt.Errorf("trace recording: %w", err)
-		}
-	}
-	return nil
+	return s.appendRowLocked(s.rec)
 }
 
 // traceFlush lands the recorder's buffered tail so a fresh Reader sees
@@ -923,7 +925,7 @@ func (s *session) reverse(ctx context.Context, n uint64) (err error) {
 	}
 	conds := s.conds
 	s.conds = nil
-	_, _, err = s.stepLocked(ctx, target-s.eng.CycleCount(), nil)
+	_, _, err = s.stepLocked(ctx, target-s.eng.CycleCount())
 	s.conds = conds
 	if err != nil {
 		return err

@@ -19,6 +19,13 @@ import (
 // (<store>/sessions/<id>/trace/), so fleet backends sharing a store can all
 // answer queries about a session and a re-homed session keeps its history.
 
+// errTraceStreamGone answers the retired streaming endpoint GET
+// /v1/sessions/{id}/trace: the trace store serves the same waveform, and
+// the rules fired each cycle, from a recording.
+var errTraceStreamGone = httpError{http.StatusGone, errors.New("the streaming trace endpoint is retired: " +
+	"POST /v1/sessions/{id}/trace/record, step, then GET /v1/sessions/{id}/trace/vcd " +
+	"(rule firings: POST /v1/sessions/{id}/trace/query with fired(rule))")}
+
 // TraceRecordRequest switches trace recording on or off. Disabling leaves
 // the recording on disk, still queryable; re-enabling resumes it when the
 // session's cycle continues it contiguously, and restarts it otherwise.
@@ -294,8 +301,8 @@ func (s *Server) traceDiffOp(_ *http.Request, sess *session, req TraceDiffReques
 }
 
 // traceVCD re-emits a window of the recording as VCD, from the index
-// — no re-simulation, any recorded cycle range, byte-identical to what live
-// streaming of the same window would have produced.
+// — no re-simulation, any recorded cycle range, byte-identical to what a
+// vcd.Writer sampling the engine over the same cycles produces.
 func (s *Server) traceVCD(w http.ResponseWriter, r *http.Request, sess *session) (err error) {
 	q := r.URL.Query()
 	from, to := uint64(0), uint64(math.MaxUint64)
@@ -321,8 +328,8 @@ func (s *Server) traceVCD(w http.ResponseWriter, r *http.Request, sess *session)
 	if err != nil {
 		return err
 	}
-	// The stream holds sess.mu; a stalled client must not pin the session
-	// forever, so the whole response gets one write budget.
+	// The response is written under sess.mu; a stalled client must not pin
+	// the session forever, so the whole response gets one write budget.
 	rc := http.NewResponseController(w)
 	_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StepTimeout))
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

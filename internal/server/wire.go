@@ -254,14 +254,6 @@ type MigrateResponse struct {
 	Digest string `json:"digest"`
 }
 
-// TraceEvent is one line of the NDJSON trace stream: the cycle just
-// executed, the rules that fired, and the registers that changed.
-type TraceEvent struct {
-	Cycle   uint64              `json:"cycle"`
-	Fired   []string            `json:"fired,omitempty"`
-	Changed map[string]RegValue `json:"changed,omitempty"`
-}
-
 // Metrics is the /metrics document.
 type Metrics struct {
 	Sessions     int     `json:"sessions"`

@@ -11,7 +11,8 @@ import (
 	"cuttlego/internal/sim"
 )
 
-// checkRow demands ReadRow agree with Reg on every register.
+// checkRow demands ReadRow agree with Reg on every register, and ReadFired
+// with RuleFired on every rule.
 func checkRow(t *testing.T, what string, e sim.Engine) {
 	t.Helper()
 	d := e.Design()
@@ -20,6 +21,13 @@ func checkRow(t *testing.T, what string, e sim.Engine) {
 	for i, r := range d.Registers {
 		if want := e.Reg(r.Name).Val; row[i] != want {
 			t.Fatalf("%s at cycle %d: ReadRow[%d] (%s) = %#x, Reg = %#x", what, e.CycleCount(), i, r.Name, row[i], want)
+		}
+	}
+	fired := make([]uint64, sim.FiredWords(len(d.Rules)))
+	e.(sim.RowReader).ReadFired(fired)
+	for i, r := range d.Rules {
+		if got, want := fired[i/64]>>(i%64)&1 == 1, e.RuleFired(r.Name); got != want {
+			t.Fatalf("%s at cycle %d: ReadFired bit %d (%s) = %v, RuleFired = %v", what, e.CycleCount(), i, r.Name, got, want)
 		}
 	}
 }
@@ -51,8 +59,8 @@ func exerciseRow(t *testing.T, what string, e sim.Engine, tb sim.Testbench) {
 
 // TestRowReaderMatchesReg holds every in-process engine, the reference
 // interpreter and the native tier to the RowReader contract: ReadRow fills
-// exactly what Reg returns, register by register, after cycles and after
-// SetReg.
+// exactly what Reg returns, register by register, and ReadFired what
+// RuleFired reports, rule by rule, after cycles and after SetReg.
 func TestRowReaderMatchesReg(t *testing.T) {
 	specs := append(engine.InProcess(), engine.MustParse("interp"))
 	var insts []bench.Instance

@@ -60,11 +60,33 @@ type Snapshot struct {
 // RowReader is implemented by engines that can copy every register's
 // payload out in one call. ReadRow fills dst — one slot per register, in
 // declaration order — with the same values Reg(name).Val returns, without a
-// name lookup per register. Compiled debugger predicates and the trace
-// recorder read the state this way once per cycle; every engine in this
-// module implements it.
+// name lookup per register. ReadFired fills dst — FiredWords(len(rules))
+// words — with the fired-rule bitset of the most recently executed cycle:
+// bit i%64 of word i/64 is set when rule i of Design().Rules committed, as
+// RuleFired reports. Compiled debugger predicates and the trace recorder
+// read a cycle this way; every engine in this module implements it.
 type RowReader interface {
 	ReadRow(dst []uint64)
+	ReadFired(dst []uint64)
+}
+
+// FiredWords is how many 64-bit words the fired-rule bitset of a design
+// with nrules rules takes.
+func FiredWords(nrules int) int { return (nrules + 63) / 64 }
+
+// RowLen is the length of a watched row of d: the register payloads, in
+// declaration order, followed by the fired-rule words (see RowReader).
+func RowLen(d *ast.Design) int { return len(d.Registers) + FiredWords(len(d.Rules)) }
+
+// PackFired stores fired, one flag per rule, into dst as the fired-rule
+// bitset RowReader.ReadFired describes.
+func PackFired(dst []uint64, fired []bool) {
+	clear(dst)
+	for i, f := range fired {
+		if f {
+			dst[i>>6] |= 1 << (i & 63)
+		}
+	}
 }
 
 // Advancer is implemented by engines that can execute a whole run of cycles
@@ -169,10 +191,10 @@ func RunContext(ctx context.Context, e Engine, tb Testbench, n uint64) (cycles u
 }
 
 // Cond is a stop condition RunUntil checks after every cycle, over the
-// register row: payloads in declaration order. Code is the same condition
-// as a condition-VM program (gomodel.EncodeCondition), the form engines
-// that run the loop out of process evaluate. Compiled debugger predicates
-// (debug.Predicate) are Conds.
+// watched row (RowLen: register payloads, then fired-rule words). Code is
+// the same condition as a condition-VM program (gomodel.EncodeCondition),
+// the form engines that run the loop out of process evaluate. Compiled
+// debugger predicates (debug.Predicate) are Conds.
 type Cond interface {
 	Eval(row []uint64) bool
 	Code() []uint64
@@ -180,8 +202,9 @@ type Cond interface {
 
 // Watch is what RunUntil does besides simulating: the stop conditions, in
 // priority order, and OnRow, which, when non-nil, receives every executed
-// cycle's count and register row (the trace recorder). The row is reused
-// between calls, and OnRow must not drive the engine.
+// cycle's count and row (the trace recorder): RowLen words, the register
+// payloads followed by the fired-rule words. The row is reused between
+// calls, and OnRow must not drive the engine.
 type Watch struct {
 	Conds []Cond
 	OnRow func(cycle uint64, row []uint64) error
@@ -216,10 +239,10 @@ func RunUntil(ctx context.Context, e Engine, tb Testbench, n uint64, w *Watch) (
 }
 
 // StepUntil is RunUntil's loop for any RowReader engine: per cycle,
-// BeforeCycle, Cycle, AfterCycle, one ReadRow, OnRow, then the conditions,
-// with RunContext's cancellation checks. Fired flags, profiles and rows
-// match stepping one cycle at a time; the count of cycles run stays exact
-// when the engine panics mid-run.
+// BeforeCycle, Cycle, AfterCycle, one ReadRow and ReadFired, OnRow, then
+// the conditions, with RunContext's cancellation checks. Fired flags,
+// profiles and rows match stepping one cycle at a time; the count of
+// cycles run stays exact when the engine panics mid-run.
 func StepUntil(ctx context.Context, e Engine, tb Testbench, n uint64, w *Watch) (ran uint64, hit int, err error) {
 	hit = -1
 	defer diag.Guard("sim: run until", &err)
@@ -227,10 +250,12 @@ func StepUntil(ctx context.Context, e Engine, tb Testbench, n uint64, w *Watch) 
 		tb = NopBench{}
 	}
 	rr := e.(RowReader)
-	if nregs := len(e.Design().Registers); len(w.row) != nregs {
-		w.row = make([]uint64, nregs)
+	d := e.Design()
+	if n := RowLen(d); len(w.row) != n {
+		w.row = make([]uint64, n)
 	}
 	row := w.row
+	regs, fired := row[:len(d.Registers)], row[len(d.Registers):]
 	for ran < n {
 		if ran%ctxCheckInterval == 0 {
 			select {
@@ -243,7 +268,8 @@ func StepUntil(ctx context.Context, e Engine, tb Testbench, n uint64, w *Watch) 
 		e.Cycle()
 		more := tb.AfterCycle(e)
 		ran++
-		rr.ReadRow(row)
+		rr.ReadRow(regs)
+		rr.ReadFired(fired)
 		if w.OnRow != nil {
 			if err := w.OnRow(e.CycleCount(), row); err != nil {
 				return ran, -1, err

@@ -2,6 +2,7 @@ package tracedb
 
 import (
 	"bytes"
+	"errors"
 	"io/fs"
 	"math"
 	"os"
@@ -135,16 +136,18 @@ func TestTornChunkWriteThenCrash(t *testing.T) {
 // does too. The retried Flush then commits everything.
 func TestFlushSyncFailureKeepsIndex(t *testing.T) {
 	rows := replayRows(t, "collatz", 300)
-	// Create syncs meta's temp file and the directory, then the index's
-	// temp file and the directory: 4 syncs, 2 writes. Rows 0..200 land
-	// c0, c64 and c128 unsynced, so the commit syncs those three files
-	// (5..7), the tail c192 (8), the directory (9), the index temp (10).
+	// Create syncs meta's temp file, the index's temp file and then the
+	// directory: 3 syncs, 2 writes. Rows 0..260 land c0, c64, c128 and c192
+	// unsynced (writes 3..6), so the commit writes the tail c256 (write 7),
+	// syncs the four chunk files (4..7), the tail (8), the directory (9) and
+	// the index temp (10), then writes the index (write 8).
 	for _, rule := range []faultinj.Rule{
-		{Op: "fs.sync", Nth: 5, Kind: faultinj.Fail},  // first chunk file
+		{Op: "fs.sync", Nth: 5, Kind: faultinj.Fail},  // a chunk file, c64
 		{Op: "fs.sync", Nth: 8, Kind: faultinj.Fail},  // the tail's file
 		{Op: "fs.sync", Nth: 9, Kind: faultinj.Fail},  // the directory
 		{Op: "fs.sync", Nth: 10, Kind: faultinj.Fail}, // the index's temp file
-		{Op: "fs.write", Nth: 7, Kind: faultinj.Fail}, // the index itself
+		{Op: "fs.write", Nth: 7, Kind: faultinj.Fail}, // the tail's file
+		{Op: "fs.write", Nth: 8, Kind: faultinj.Fail}, // the index itself
 	} {
 		t.Run(faultinj.Event{Op: rule.Op, Call: rule.Nth, Kind: rule.Kind}.String(), func(t *testing.T) {
 			inj := faultinj.New(1, rule)
@@ -153,10 +156,10 @@ func TestFlushSyncFailureKeepsIndex(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Create: %v", err)
 			}
-			if s, w := inj.Calls("fs.sync"), inj.Calls("fs.write"); s != 4 || w != 2 {
-				t.Fatalf("Create issued %d syncs and %d writes, want 4 and 2", s, w)
+			if s, w := inj.Calls("fs.sync"), inj.Calls("fs.write"); s != 3 || w != 2 {
+				t.Fatalf("Create issued %d syncs and %d writes, want 3 and 2", s, w)
 			}
-			appendRows(t, rec, rows, 0, 200)
+			appendRows(t, rec, rows, 0, 260)
 			idx := filepath.Join(dir, "index.ktix")
 			before, err := os.ReadFile(idx)
 			if err != nil {
@@ -183,7 +186,7 @@ func TestFlushSyncFailureKeepsIndex(t *testing.T) {
 				t.Fatal("a failed commit made rows visible")
 			}
 			// The disk recovered: the retry commits every row.
-			appendRows(t, rec, rows, 201, 300)
+			appendRows(t, rec, rows, 261, 300)
 			if err := rec.Close(); err != nil {
 				t.Fatalf("Close after the fault passed: %v", err)
 			}
@@ -364,21 +367,7 @@ func TestEncodeRowsRoundTrip(t *testing.T) {
 // from it against a replay, then resumes it and appends run-length chunks
 // after the dense ones.
 func TestDenseFormatRecordingCompat(t *testing.T) {
-	const fixture = "testdata/collatz-dense"
-	dir := t.TempDir()
-	ents, err := os.ReadDir(fixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyFixture(t, "testdata/collatz-dense")
 	d := bench.CollatzBench(27).MustCheck()
 	nsig := len(d.Registers)
 	for _, p := range chunkFiles(t, dir) {
@@ -422,6 +411,82 @@ func TestDenseFormatRecordingCompat(t *testing.T) {
 	checkRows(t, r, rows, 0, 700)
 	checkQueries(t, r, d.Name)
 	checkVCD(t, r, 250, 520) // straddles the dense and run-length chunks
+}
+
+// copyFixture copies a checked-in recording into a temporary directory, so
+// a test may resume and append to it.
+func copyFixture(t *testing.T, fixture string) string {
+	t.Helper()
+	dir := t.TempDir()
+	ents, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestFormat1RecordingCompat opens a recording written before fired-rule
+// columns existed (testdata/collatz-v1: format 1, collatz, 200 rows,
+// 64-row chunks, signals only). It must answer register queries as a
+// replay does, re-emit byte for byte the VCD its writer emitted
+// (testdata/collatz-v1.vcd), refuse fired(rule) with ErrNoFired, and
+// resume with register-only rows.
+func TestFormat1RecordingCompat(t *testing.T) {
+	dir := copyFixture(t, "testdata/collatz-v1")
+	d := bench.CollatzBench(27).MustCheck()
+	rows := replayRows(t, "collatz", 500)
+	check := func(last uint64) *Reader {
+		t.Helper()
+		r, err := Open(dir, faultinj.OS())
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if m := r.Meta(); m.Version != 1 || len(m.Rules) != 0 || m.Columns() != len(d.Registers) {
+			t.Fatalf("meta = version %d, %d rules, %d columns; want format 1 with registers only", m.Version, len(m.Rules), m.Columns())
+		}
+		if err := r.Meta().CheckDesign(d); err != nil {
+			t.Fatal(err)
+		}
+		checkRows(t, r, rows, 0, last)
+		checkQueries(t, r, d.Name)
+		_, err = r.Query(d, Query{Mode: ModeCount, Expr: "fired(" + d.Rules[0].Name + ")", To: math.MaxUint64})
+		if !errors.Is(err, ErrNoFired) {
+			t.Fatalf("fired() query on a format 1 recording: %v, want ErrNoFired", err)
+		}
+		return r
+	}
+	r := check(199)
+	var got bytes.Buffer
+	if err := r.WriteVCD(&got, 0, 199); err != nil {
+		t.Fatalf("WriteVCD: %v", err)
+	}
+	want, err := os.ReadFile("testdata/collatz-v1.vcd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("VCD of the format 1 recording changed: %s", firstDiffContext(got.String(), string(want)))
+	}
+
+	rec, err := Resume(dir, faultinj.OS())
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	appendRows(t, rec, rows, 200, 500)
+	if err := rec.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	r = check(500)
+	checkVCD(t, r, 150, 400)
 }
 
 // checkQueries compares each query mode with a brute-force scan.
@@ -538,15 +603,26 @@ func TestTruncateThenCrashKeepsCut(t *testing.T) {
 	}
 }
 
-// TestTruncateFaultThenCrash fails each write, sync and rename a Truncate
-// of committed rows issues, in turn, and then crashes. Whatever step
-// failed, Open must serve a prefix of the replay that still reaches the
-// cut, and exactly the cut when Truncate reported success.
+// TestTruncateFaultThenCrash fails each write, sync and rename of a rewind
+// over committed rows — the Truncate, then the re-recorded rows up to
+// cycle 200 and the Flush that commits them — in turn, and then crashes.
+// Whatever step failed, Open must serve a prefix of the replay that still
+// reaches the cut: exactly the cut or cycle 200 when Truncate reported
+// success, and cycle 200 when the Flush did too.
 func TestTruncateFaultThenCrash(t *testing.T) {
 	rows := replayRows(t, "collatz", 200)
 	ops := []string{"fs.write", "fs.sync", "fs.rename"}
 	for _, tc := range truncateCuts {
-		// Count the calls of each op before and during a clean Truncate.
+		// rewind truncates to the cut and, when that succeeds, re-records
+		// the replayed rows and flushes them.
+		rewind := func(rec *Recorder) (terr, ferr error) {
+			if terr = rec.Truncate(tc.cycle); terr != nil {
+				return terr, nil
+			}
+			appendRows(t, rec, rows, tc.cycle+1, 200)
+			return nil, rec.Flush()
+		}
+		// Count the calls of each op before and during a clean rewind.
 		probe := faultinj.New(1)
 		rec, _ := newCollatzRecorder(t, probe)
 		appendRows(t, rec, rows, 0, 200)
@@ -557,8 +633,8 @@ func TestTruncateFaultThenCrash(t *testing.T) {
 		for _, op := range ops {
 			before[op] = probe.Calls(op)
 		}
-		if err := rec.Truncate(tc.cycle); err != nil {
-			t.Fatalf("Truncate(%d): %v", tc.cycle, err)
+		if terr, ferr := rewind(rec); terr != nil || ferr != nil {
+			t.Fatalf("rewind to %d: Truncate %v, Flush %v", tc.cycle, terr, ferr)
 		}
 		for _, op := range ops {
 			for n := before[op] + 1; n <= probe.Calls(op); n++ {
@@ -570,7 +646,7 @@ func TestTruncateFaultThenCrash(t *testing.T) {
 					if err := rec.Flush(); err != nil {
 						t.Fatalf("Flush: %v", err)
 					}
-					terr := rec.Truncate(tc.cycle)
+					terr, ferr := rewind(rec)
 					if len(inj.Events()) != 1 {
 						t.Fatalf("injector events = %v, want one", inj.Events())
 					}
@@ -580,8 +656,10 @@ func TestTruncateFaultThenCrash(t *testing.T) {
 						t.Fatalf("Open after crash: %v", err)
 					}
 					_, last, ok := r.Bounds()
-					if !ok || last < tc.cycle || (terr == nil && last != tc.cycle) {
-						t.Fatalf("after Truncate(%d) = %v and a crash, recording ends at %d/%v", tc.cycle, terr, last, ok)
+					if !ok || last < tc.cycle ||
+						(terr == nil && last != tc.cycle && last != 200) ||
+						(terr == nil && ferr == nil && last != 200) {
+						t.Fatalf("after Truncate(%d) = %v, Flush = %v and a crash, recording ends at %d/%v", tc.cycle, terr, ferr, last, ok)
 					}
 					checkRows(t, r, rows, 0, last)
 				})
@@ -629,4 +707,58 @@ func TestTruncateIntoTornChunkThenFlush(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	checkRows(t, r, rows, 0, 30)
+}
+
+// TestCreateSyncsDirectoryOnce: Create lands meta.json and the empty index
+// each by temp + fsync + rename, then makes both names durable with one
+// directory sync — 3 syncs where one directory sync per file took 4.
+func TestCreateSyncsDirectoryOnce(t *testing.T) {
+	inj := faultinj.New(1)
+	dir := filepath.Join(t.TempDir(), "trace")
+	if _, err := Create(dir, faultinj.NewFS(faultinj.OS(), inj), MetaFor(bench.CollatzBench(27).MustCheck(), 64)); err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	for op, want := range map[string]uint64{"fs.sync": 3, "fs.write": 2, "fs.rename": 2} {
+		if got := inj.Calls(op); got != want {
+			t.Errorf("Create issued %d %s ops, want %d", got, op, want)
+		}
+	}
+}
+
+// TestCreateFaultThenCrash fails each write, sync and rename Create issues,
+// in turn, and then crashes (the recorder is dropped). Either Create
+// reported the failure, or Open and Resume both find a valid empty
+// recording; a recording they do find is empty and resumable either way.
+func TestCreateFaultThenCrash(t *testing.T) {
+	meta := MetaFor(bench.CollatzBench(27).MustCheck(), 64).WithRules(bench.CollatzBench(27).MustCheck())
+	for op, calls := range map[string]uint64{"fs.sync": 3, "fs.write": 2, "fs.rename": 2} {
+		for n := uint64(1); n <= calls; n++ {
+			rule := faultinj.Rule{Op: op, Nth: n, Kind: faultinj.Fail}
+			t.Run(faultinj.Event{Op: op, Call: n, Kind: rule.Kind}.String(), func(t *testing.T) {
+				inj := faultinj.New(1, rule)
+				dir := filepath.Join(t.TempDir(), "trace")
+				_, cerr := Create(dir, faultinj.NewFS(faultinj.OS(), inj), meta)
+				if len(inj.Events()) != 1 {
+					t.Fatalf("injector events = %v, want one", inj.Events())
+				}
+				r, err := Open(dir, faultinj.OS())
+				if cerr != nil && errors.Is(err, ErrNoTrace) {
+					return
+				}
+				if err != nil {
+					t.Fatalf("Create = %v, then Open: %v", cerr, err)
+				}
+				if _, _, ok := r.Bounds(); ok {
+					t.Fatal("a fresh recording has rows")
+				}
+				rec, err := Resume(dir, faultinj.OS())
+				if err != nil {
+					t.Fatalf("Create = %v, then Resume: %v", cerr, err)
+				}
+				if rec.Rows() != 0 || rec.Meta().Columns() != meta.Columns() {
+					t.Fatalf("resumed %d rows of %d columns, want 0 of %d", rec.Rows(), rec.Meta().Columns(), meta.Columns())
+				}
+			})
+		}
+	}
 }

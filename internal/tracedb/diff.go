@@ -46,9 +46,9 @@ func DiffAt(a, b *Reader, cycle uint64) ([]DiffEntry, error) {
 }
 
 // FirstDivergence finds the earliest cycle in [from, to] (clamped to the
-// overlap of both recordings) where the two runs disagree. It compares raw
-// rows; the sequential chunk cache keeps this one decode per chunk per
-// side.
+// overlap of both recordings) where the two runs' states disagree. It
+// compares the signals of raw rows; the sequential chunk cache keeps this
+// one decode per chunk per side.
 func FirstDivergence(a, b *Reader, from, to uint64) (cycle uint64, diverged bool, err error) {
 	if err := sameSchema(a, b); err != nil {
 		return 0, false, err
@@ -77,7 +77,7 @@ func FirstDivergence(a, b *Reader, from, to uint64) (cycle uint64, diverged bool
 		if err != nil {
 			return 0, false, err
 		}
-		for i := range ra {
+		for i := range a.meta.Signals {
 			if ra[i] != rb[i] {
 				return cyc, true, nil
 			}

@@ -149,9 +149,13 @@ func TestCorruptChunkResumeAndReRecord(t *testing.T) {
 	}
 }
 
-// TestTornChunkWriteInvisible: a torn chunk write (power loss mid-write)
-// must leave the recording serving its previous consistent prefix.
-func TestTornChunkWriteInvisible(t *testing.T) {
+// TestTornIndexCommitInvisible: the commit's index write tears silently
+// (power loss mid-write) after every chunk file landed, and the torn index
+// is renamed into place. Open must reject it by its checksum and serve a
+// consistent prefix rebuilt from the chunks, every row equal to the
+// replay. (A torn chunk file followed by a crash is
+// TestTornChunkWriteThenCrash.)
+func TestTornIndexCommitInvisible(t *testing.T) {
 	eng, tb := newEngine(t, "collatz")
 	dir := filepath.Join(t.TempDir(), "trace")
 	// Tear the first index write that credits a chunk: meta (1) and the

@@ -23,8 +23,8 @@ const DefaultScanLimit = 1000
 
 // Query is one time-travel question over a recording. Expr is a 1-bit
 // effect-free predicate in the textual dialect (the same language
-// conditional breakpoints use); the window [From, To] is inclusive and
-// defaults to the whole recording.
+// conditional breakpoints use, fired(rule) included); the window
+// [From, To] is inclusive and defaults to the whole recording.
 type Query struct {
 	Mode  string
 	Expr  string
@@ -188,12 +188,15 @@ func (r *Reader) Query(d *ast.Design, q Query) (Result, error) {
 	if err != nil {
 		return res, err
 	}
+	if pred.Fired && len(r.meta.Rules) == 0 {
+		return res, ErrNoFired
+	}
 	return r.query(d, pred, q)
 }
 
 // query answers q, whose mode and window are valid, with pred compiled for
-// d; the schema check guarantees signal i is d's register i. q.Expr is not
-// consulted.
+// d; the schema check guarantees column i is d's register i, and, when
+// pred reads fired-rule words, that they follow. q.Expr is not consulted.
 func (r *Reader) query(d *ast.Design, pred *debug.Predicate, q Query) (Result, error) {
 	var res Result
 	limit := q.Limit
@@ -202,7 +205,7 @@ func (r *Reader) query(d *ast.Design, pred *debug.Predicate, q Query) (Result, e
 	}
 	constraints := constraintsOf(d, pred.Expr)
 	// row holds the predicate's read set; no other slot is ever filled.
-	row := make([]uint64, len(r.meta.Signals))
+	row := make([]uint64, r.meta.Columns())
 	cols := make([][]uint64, len(pred.Reads))
 
 	// evalConst answers the predicate for a chunk whose read set is

@@ -63,7 +63,7 @@ func (r *Reader) loadChunk(i int) (*chunkView, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracedb: chunk c%d: %w", c.Start, err)
 	}
-	v, err := parseChunk(data, len(r.meta.Signals))
+	v, err := parseChunk(data, r.meta.Columns())
 	if err != nil {
 		_ = quarantine(r.fs, path)
 		return nil, fmt.Errorf("tracedb: chunk c%d quarantined: %w", c.Start, err)
@@ -86,7 +86,8 @@ func (r *Reader) loadChunk(i int) (*chunkView, error) {
 	return v, nil
 }
 
-// Row returns the register values recorded at cycle, in schema order.
+// Row returns the row recorded at cycle: the register values in schema
+// order, then the fired-rule words when the recording has them.
 func (r *Reader) Row(cycle uint64) ([]uint64, error) {
 	i, ok := r.chunkAt(cycle)
 	if !ok {
@@ -96,7 +97,7 @@ func (r *Reader) Row(cycle uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	row := make([]uint64, len(r.meta.Signals))
+	row := make([]uint64, r.meta.Columns())
 	off := cycle - r.chunks[i].Start
 	for s := range row {
 		row[s] = v.col(s)[off]

@@ -43,10 +43,10 @@ type Recorder struct {
 	next     uint64      // next expected cycle; meaningful only when rows>0
 	rows     uint64      // total recorded rows (disk + buffer)
 
-	unsynced   []uint64 // starts of chunk files landed since the last commit
-	durableEnd uint64   // one past the last row the durable index credits; 0 if none
-	dirty      bool     // chunk files or extents changed since the last commit
-	enc        []byte   // chunk encoding buffer, reused
+	unsynced   []uint64     // starts of chunk files landed since the last commit
+	durableEnd uint64       // one past the last row the durable index credits; 0 if none
+	dirty      bool         // chunk files or extents changed since the last commit
+	enc        chunkEncoder // chunk encoding buffers, reused
 }
 
 // Create starts a fresh recording in dir, wiping any previous one.
@@ -70,11 +70,18 @@ func Create(dir string, fsys faultinj.FS, meta Meta) (*Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := atomicWrite(fsys, filepath.Join(dir, "meta.json"), metaBytes); err != nil {
+	// Both files land by temp + fsync + rename, and one directory sync
+	// makes both names durable. A crash before it leaves no meta.json (no
+	// recording) or a meta.json without an index, which opens as an empty
+	// recording.
+	r := &Recorder{dir: dir, fs: fsys, meta: meta, nsig: meta.Columns()}
+	if err := syncedRename(fsys, filepath.Join(dir, "meta.json"), metaBytes); err != nil {
 		return nil, err
 	}
-	r := &Recorder{dir: dir, fs: fsys, meta: meta, nsig: len(meta.Signals)}
-	return r, r.writeIndex(nil)
+	if err := syncedRename(fsys, filepath.Join(dir, "index.ktix"), encodeIndex(r.nsig, nil)); err != nil {
+		return nil, err
+	}
+	return r, fsys.Sync(dir)
 }
 
 // Resume reopens an existing recording for appending, adopting the longest
@@ -85,7 +92,7 @@ func Resume(dir string, fsys faultinj.FS) (*Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Recorder{dir: dir, fs: fsys, meta: meta, nsig: len(meta.Signals)}
+	r := &Recorder{dir: dir, fs: fsys, meta: meta, nsig: meta.Columns()}
 	// Readers verify chunks lazily, but a recorder must never append after
 	// damaged bytes: validate every adopted chunk now, quarantine the first
 	// bad one, and truncate the recording there. Resumption is rare (a
@@ -106,8 +113,8 @@ func Resume(dir string, fsys faultinj.FS) (*Recorder, error) {
 			// Rows landed after the last commit into a file the index
 			// credits: cut the file back to the credited rows, so a later
 			// index rebuild cannot adopt rows the recording no longer holds.
-			r.enc, _ = encodeRows(r.enc, c.Start, v.appendRows(nil, int(c.Count)), r.nsig)
-			if err := r.land(c.Start, r.enc, true); err != nil {
+			data, _ := r.enc.encode(c.Start, v.appendRows(nil, int(c.Count)), r.nsig)
+			if err := r.land(c.Start, data, true); err != nil {
 				return nil, err
 			}
 		}
@@ -163,12 +170,13 @@ func (r *Recorder) FirstCycle() (uint64, bool) {
 	return r.bufStart, true
 }
 
-// Append records the register values observed at cycle. vals must follow
-// the schema's signal order; the slice is copied. A non-contiguous cycle
+// Append records the row observed at cycle: the register values in the
+// schema's signal order, then its fired-rule words when the schema lists
+// rules (Meta.Columns). The slice is copied. A non-contiguous cycle
 // returns ErrGap and records nothing.
 func (r *Recorder) Append(cycle uint64, vals []uint64) error {
 	if len(vals) != r.nsig {
-		return fmt.Errorf("tracedb: row has %d values, schema has %d signals", len(vals), r.nsig)
+		return fmt.Errorf("tracedb: row has %d values, schema has %d columns", len(vals), r.nsig)
 	}
 	if r.rows > 0 && cycle != r.next {
 		return fmt.Errorf("%w: cycle %d after %d", ErrGap, cycle, r.next-1)
@@ -210,9 +218,8 @@ func (r *Recorder) closeBuffer() error {
 // any shorter version of it from an earlier flush — one the durable index
 // credits when it ends past bufStart.
 func (r *Recorder) writeBuffer() (ChunkInfo, error) {
-	var sums []SigSum
-	r.enc, sums = encodeRows(r.enc, r.bufStart, r.buf, r.nsig)
-	if err := r.land(r.bufStart, r.enc, r.bufStart < r.durableEnd); err != nil {
+	data, sums := r.enc.encode(r.bufStart, r.buf, r.nsig)
+	if err := r.land(r.bufStart, data, r.bufStart < r.durableEnd); err != nil {
 		return ChunkInfo{}, err
 	}
 	r.dirty = true
@@ -407,9 +414,10 @@ func (r *Recorder) Truncate(cycle uint64) error {
 // every credited row is durable and kept — never fewer rows than the cut.
 func (r *Recorder) commitCut() error {
 	entries := r.chunks
-	var sums []SigSum
+	var data []byte
 	if r.bufRows > 0 {
-		r.enc, sums = encodeRows(r.enc, r.bufStart, r.buf, r.nsig)
+		var sums []SigSum
+		data, sums = r.enc.encode(r.bufStart, r.buf, r.nsig)
 		entries = append(slices.Clip(entries), ChunkInfo{Start: r.bufStart, Count: uint64(r.bufRows), Sums: sums})
 	}
 	if err := r.commit(entries); err != nil {
@@ -419,7 +427,7 @@ func (r *Recorder) commitCut() error {
 		return nil
 	}
 	// The index now credits the kept rows of c<bufStart>, so land syncs.
-	if err := r.land(r.bufStart, r.enc, true); err != nil {
+	if err := r.land(r.bufStart, data, true); err != nil {
 		// The file keeps its longer, durable bytes, which the index credits
 		// a prefix of; the next Flush rewrites it.
 		return err

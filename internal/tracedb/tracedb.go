@@ -1,18 +1,25 @@
 // Package tracedb is the indexed on-disk trace store behind the daemon's
-// time-travel queries: sessions record every register's value each cycle
-// into per-signal column chunks, and queries ("first cycle where
-// cache.state == M and ack == 0", watch scans, run-vs-run diffs) answer
-// from the chunk index instead of re-simulating.
+// time-travel queries and waveforms: sessions record every register's value
+// and the set of rules that fired each cycle into per-column chunks, and
+// queries ("first cycle where cache.state == M and ack == 0", "last cycle
+// fired(rule)", watch scans, run-vs-run diffs) answer from the chunk index
+// instead of re-simulating; VCD windows are re-emitted from it.
 //
 // A recording is one directory:
 //
-//	meta.json     the schema: design name, signal names/widths (declaration
-//	              order), chunk size — JSON, because humans read it
+//	meta.json     the schema: format version, design name, signal
+//	              names/widths (declaration order), rule names, chunk size
+//	              — JSON, because humans read it
 //	c<N>.ktrc     one chunk of consecutive cycles starting at cycle N,
-//	              columnar per signal (constant, dense or run-length),
-//	              CRC-32C trailed
-//	index.ktix    the cycle index: every chunk's extent plus per-signal
+//	              columnar (constant, dense or run-length), CRC-32C trailed
+//	index.ktix    the cycle index: every chunk's extent plus per-column
 //	              min/max/changed summaries, CRC-32C trailed
+//
+// A row holds one column per signal, then, when the schema lists rules,
+// ceil(rules/64) fired-rule words: bit i%64 of word i/64 is set when rule
+// i committed that cycle (sim.RowReader.ReadFired). Format 1 recordings
+// predate fired-rule columns; they hold signals only and still open,
+// answer register queries and resume.
 //
 // Writes are group-committed through a faultinj.FS. A chunk boundary lands
 // only the chunk file (temp + rename, no fsync), so recording costs no
@@ -46,13 +53,18 @@ import (
 
 	"cuttlego/internal/ast"
 	"cuttlego/internal/faultinj"
+	"cuttlego/internal/sim"
 )
 
 const (
 	chunkMagic = "KTRC"
 	indexMagic = "KTIX"
-	formatVer  = 1
-	crcLen     = 4
+	// formatVer is the recording format meta.json declares: 2 added the
+	// rule list and its fired-rule columns. The chunk and index layouts are
+	// unchanged since format 1 (layoutVer), so both formats share them.
+	formatVer = 2
+	layoutVer = 1
+	crcLen    = 4
 
 	// DefaultChunkCycles is the default chunk extent. 1024 keeps chunk
 	// files small enough to decode in microseconds while making the index
@@ -78,6 +90,10 @@ var ErrGap = errors.New("tracedb: append is not contiguous with the recording")
 // ErrNoTrace reports a directory that holds no recording.
 var ErrNoTrace = errors.New("tracedb: no recording")
 
+// ErrNoFired reports a fired(rule) query over a recording without
+// fired-rule columns.
+var ErrNoFired = errors.New("tracedb: the recording predates fired-rule columns (format 1); re-record to query fired(rule)")
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func corruptf(format string, args ...any) error {
@@ -91,17 +107,24 @@ type Signal struct {
 	Width int    `json:"width"`
 }
 
-// Meta is a recording's schema, persisted as meta.json.
+// Meta is a recording's schema, persisted as meta.json. Rules, when set,
+// names the design's rules in declaration order; each row then carries
+// their fired-rule words after the signals.
 type Meta struct {
 	Version     int      `json:"version"`
 	Design      string   `json:"design"`
 	ChunkCycles uint64   `json:"chunk_cycles"`
 	Signals     []Signal `json:"signals"`
+	Rules       []string `json:"rules,omitempty"`
 }
 
-// MetaFor builds the recording schema of a design: every register, in
-// declaration order, so recorded rows restore straight into engines and
-// snapshots without reordering.
+// Columns is a row's width: the signals, then the fired-rule words.
+func (m Meta) Columns() int { return len(m.Signals) + sim.FiredWords(len(m.Rules)) }
+
+// MetaFor builds the register-only recording schema of a design: every
+// register, in declaration order, so recorded rows restore straight into
+// engines and snapshots without reordering. WithRules adds the fired-rule
+// columns.
 func MetaFor(d *ast.Design, chunkCycles uint64) Meta {
 	if chunkCycles == 0 {
 		chunkCycles = DefaultChunkCycles
@@ -109,6 +132,16 @@ func MetaFor(d *ast.Design, chunkCycles uint64) Meta {
 	m := Meta{Version: formatVer, Design: d.Name, ChunkCycles: chunkCycles}
 	for _, r := range d.Registers {
 		m.Signals = append(m.Signals, Signal{Name: r.Name, Width: r.Type.BitWidth()})
+	}
+	return m
+}
+
+// WithRules returns m recording d's fired rules too: rows become the
+// watched rows of sim.RowLen.
+func (m Meta) WithRules(d *ast.Design) Meta {
+	m.Rules = make([]string, len(d.Rules))
+	for i, r := range d.Rules {
+		m.Rules[i] = r.Name
 	}
 	return m
 }
@@ -125,6 +158,17 @@ func (m Meta) CheckDesign(d *ast.Design) error {
 		if s := m.Signals[i]; s.Name != r.Name || s.Width != r.Type.BitWidth() {
 			return fmt.Errorf("tracedb: signal %d is %s[%d] in the recording but %s[%d] in design %q",
 				i, s.Name, s.Width, r.Name, r.Type.BitWidth(), d.Name)
+		}
+	}
+	if len(m.Rules) == 0 {
+		return nil
+	}
+	if len(d.Rules) != len(m.Rules) {
+		return fmt.Errorf("tracedb: design %q has %d rules, recording has %d", d.Name, len(d.Rules), len(m.Rules))
+	}
+	for i, r := range d.Rules {
+		if m.Rules[i] != r.Name {
+			return fmt.Errorf("tracedb: rule %d is %s in the recording but %s in design %q", i, m.Rules[i], r.Name, d.Name)
 		}
 	}
 	return nil
@@ -189,60 +233,123 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1)*9 + 64) / 64 }
 //
 // A constant column is encConst; a changing one takes whichever of
 // encDense and encRuns is smaller, so a register that changes on a few
-// cycles costs a few pairs, not a value per row.
+// cycles costs a few pairs, not a value per row. Columns are the schema's
+// (Meta.Columns): the signals, then the fired-rule words.
 func encodeRows(dst []byte, start uint64, rows []uint64, nsig int) ([]byte, []SigSum) {
+	e := chunkEncoder{buf: dst}
+	return e.encode(start, rows, nsig)
+}
+
+// chunkEncoder is encodeRows with its scratch kept between chunks. The
+// bytes it returns stay valid until its next encode.
+type chunkEncoder struct {
+	buf          []byte
+	sig          []sigRuns
+	moves, bySig []move
+}
+
+// sigRuns is one signal's state while its chunk column is encoded.
+type sigRuns struct {
+	sum               SigSum
+	runStart          int
+	dense, runs, nmov int // encDense and encRuns sizes in bytes; value moves
+}
+
+// move is a row at which a signal takes a new value.
+type move struct {
+	sig, row int32
+	v        uint64
+}
+
+func (e *chunkEncoder) encode(start uint64, rows []uint64, nsig int) ([]byte, []SigSum) {
 	count := len(rows) / nsig
-	buf := append(dst[:0], chunkMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, formatVer)
+	buf := append(e.buf[:0], chunkMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, layoutVer)
 	buf = binary.LittleEndian.AppendUint16(buf, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, start)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
-	sums := make([]SigSum, nsig)
-	end := count * nsig
-	for s := 0; s < nsig; s++ {
-		// One pass for the summary and both encodings' sizes, all of which
-		// only move where the value does.
-		prev := rows[s]
-		sum := SigSum{Min: prev, Max: prev}
-		dense, runs, runStart := 0, 0, 0
-		for i, j := 0, s; j < end; i, j = i+1, j+nsig {
-			if v := rows[j]; v != prev {
-				n := uvarintLen(prev)
-				dense += n * (i - runStart)
-				runs += n + uvarintLen(uint64(i-runStart))
-				prev, runStart = v, i
-				sum.Min, sum.Max = min(sum.Min, v), max(sum.Max, v)
-			}
-		}
-		n := uvarintLen(prev)
-		dense += n * (count - runStart)
-		runs += n + uvarintLen(uint64(count-runStart))
-		sum.Changed = sum.Min != sum.Max
-		sums[s] = sum
-		switch {
-		case !sum.Changed:
-			buf = append(buf, encConst)
-			buf = binary.AppendUvarint(buf, rows[s])
-		case runs < dense:
-			buf = append(buf, encRuns)
-			prev, runStart = rows[s], 0
-			for i, j := 0, s; j < end; i, j = i+1, j+nsig {
-				if v := rows[j]; v != prev {
-					buf = binary.AppendUvarint(buf, prev)
-					buf = binary.AppendUvarint(buf, uint64(i-runStart))
-					prev, runStart = v, i
-				}
-			}
-			buf = binary.AppendUvarint(buf, prev)
-			buf = binary.AppendUvarint(buf, uint64(count-runStart))
-		default:
-			buf = append(buf, encDense)
-			for j := s; j < end; j += nsig {
-				buf = binary.AppendUvarint(buf, rows[j])
+	// One sequential pass over the buffer finds every move, in row order,
+	// and keeps each signal's summary and the sizes of both encodings,
+	// which only change where the value does.
+	sig := slices.Grow(e.sig[:0], nsig)[:nsig]
+	for s := range sig {
+		sig[s] = sigRuns{sum: SigSum{Min: rows[s], Max: rows[s]}}
+	}
+	moves := e.moves[:0]
+	for i := 1; i < count; i++ {
+		prev, row := rows[(i-1)*nsig:i*nsig], rows[i*nsig:(i+1)*nsig]
+		for s, v := range row[:len(prev)] {
+			if u := prev[s]; v != u {
+				g := &sig[s]
+				n := uvarintLen(u)
+				g.dense += n * (i - g.runStart)
+				g.runs += n + uvarintLen(uint64(i-g.runStart))
+				g.runStart = i
+				g.nmov++
+				g.sum.Min, g.sum.Max = min(g.sum.Min, v), max(g.sum.Max, v)
+				moves = append(moves, move{int32(s), int32(i), v})
 			}
 		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), sums
+	// Group the moves by signal, keeping row order within each: signal s's
+	// runs start at row 0 and at each of its moves.
+	bySig := slices.Grow(e.bySig[:0], len(moves))[:len(moves)]
+	at := 0
+	for s := range sig {
+		// Reuse runStart as signal s's next slot in bySig.
+		sig[s].runStart, at = at, at+sig[s].nmov
+	}
+	for _, m := range moves {
+		bySig[sig[m.sig].runStart] = m
+		sig[m.sig].runStart++
+	}
+	sums := make([]SigSum, nsig)
+	at = 0
+	for s := range sig {
+		g := &sig[s]
+		ms := bySig[at : at+g.nmov]
+		at += g.nmov
+		// The last run ends at the chunk's end.
+		last, lastStart := rows[s], 0
+		if len(ms) > 0 {
+			last, lastStart = ms[len(ms)-1].v, int(ms[len(ms)-1].row)
+		}
+		n := uvarintLen(last)
+		g.dense += n * (count - lastStart)
+		g.runs += n + uvarintLen(uint64(count-lastStart))
+		g.sum.Changed = g.nmov > 0
+		sums[s] = g.sum
+		switch {
+		case !g.sum.Changed:
+			buf = append(buf, encConst)
+			buf = binary.AppendUvarint(buf, rows[s])
+		case g.runs < g.dense:
+			buf = append(buf, encRuns)
+			v, from := rows[s], 0
+			for _, m := range ms {
+				buf = binary.AppendUvarint(buf, v)
+				buf = binary.AppendUvarint(buf, uint64(int(m.row)-from))
+				v, from = m.v, int(m.row)
+			}
+			buf = binary.AppendUvarint(buf, v)
+			buf = binary.AppendUvarint(buf, uint64(count-from))
+		default:
+			buf = append(buf, encDense)
+			v, from := rows[s], 0
+			for _, m := range ms {
+				for ; from < int(m.row); from++ {
+					buf = binary.AppendUvarint(buf, v)
+				}
+				v = m.v
+			}
+			for ; from < count; from++ {
+				buf = binary.AppendUvarint(buf, v)
+			}
+		}
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	e.buf, e.sig, e.moves, e.bySig = buf, sig, moves, bySig
+	return buf, sums
 }
 
 // chunkView is a validated chunk file whose columns decode on first use,
@@ -268,7 +375,7 @@ func parseChunk(data []byte, nsig int) (*chunkView, error) {
 	if string(data[:4]) != chunkMagic {
 		return nil, corruptf("bad chunk magic %q", data[:4])
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != formatVer {
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != layoutVer {
 		return nil, corruptf("unsupported chunk version %d", v)
 	}
 	body := data[:len(data)-crcLen]
@@ -432,7 +539,7 @@ func sumOf(col []uint64) SigSum {
 func encodeIndex(nsig int, chunks []ChunkInfo) []byte {
 	buf := make([]byte, 0, 16+len(chunks)*(4+nsig*4))
 	buf = append(buf, indexMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, formatVer)
+	buf = binary.LittleEndian.AppendUint16(buf, layoutVer)
 	buf = binary.LittleEndian.AppendUint16(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(nsig))
 	buf = binary.AppendUvarint(buf, uint64(len(chunks)))
@@ -459,7 +566,7 @@ func decodeIndex(data []byte, nsig int) ([]ChunkInfo, error) {
 	if string(data[:4]) != indexMagic {
 		return nil, corruptf("bad index magic %q", data[:4])
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != formatVer {
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != layoutVer {
 		return nil, corruptf("unsupported index version %d", v)
 	}
 	body := data[:len(data)-crcLen]
@@ -527,10 +634,19 @@ func decodeIndex(data []byte, nsig int) ([]ChunkInfo, error) {
 
 // --- shared store plumbing --------------------------------------------------
 
-// atomicWrite lands data crash-safely: temp + fsync + rename + dir sync,
-// the same discipline the snapshot store uses (and the same faultinj hooks,
-// so the durability tests tear these writes too).
+// atomicWrite lands data crash-safely: syncedRename, then a directory
+// sync — the same discipline the snapshot store uses (and the same faultinj
+// hooks, so the durability tests tear these writes too).
 func atomicWrite(fsys faultinj.FS, path string, data []byte) error {
+	if err := syncedRename(fsys, path, data); err != nil {
+		return err
+	}
+	return fsys.Sync(filepath.Dir(path))
+}
+
+// syncedRename replaces path with data by temp + fsync + rename; the new
+// name is durable once the directory is synced.
+func syncedRename(fsys faultinj.FS, path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := fsys.WriteFile(tmp, data, 0o644); err != nil {
 		return err
@@ -538,10 +654,7 @@ func atomicWrite(fsys faultinj.FS, path string, data []byte) error {
 	if err := fsys.Sync(tmp); err != nil {
 		return err
 	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	return fsys.Sync(filepath.Dir(path))
+	return fsys.Rename(tmp, path)
 }
 
 // quarantine renames a damaged file aside so it is never decoded again but
@@ -563,11 +676,11 @@ func loadState(dir string, fsys faultinj.FS) (Meta, []ChunkInfo, error) {
 	if err := json.Unmarshal(metaBytes, &meta); err != nil {
 		return meta, nil, corruptf("meta.json: %v", err)
 	}
-	if meta.Version != formatVer {
+	if meta.Version != formatVer && (meta.Version != 1 || len(meta.Rules) != 0) {
 		return meta, nil, corruptf("unsupported recording version %d", meta.Version)
 	}
-	if len(meta.Signals) == 0 || len(meta.Signals) > maxSignals {
-		return meta, nil, corruptf("meta declares %d signals", len(meta.Signals))
+	if len(meta.Signals) == 0 || meta.Columns() > maxSignals {
+		return meta, nil, corruptf("meta declares %d signals and %d rules", len(meta.Signals), len(meta.Rules))
 	}
 	if meta.ChunkCycles == 0 || meta.ChunkCycles > maxChunkRows {
 		return meta, nil, corruptf("meta chunk size %d out of range", meta.ChunkCycles)
@@ -584,7 +697,7 @@ func loadState(dir string, fsys faultinj.FS) (Meta, []ChunkInfo, error) {
 	var chunks []ChunkInfo
 	idxBytes, err := fsys.ReadFile(filepath.Join(dir, "index.ktix"))
 	if err == nil {
-		chunks, err = decodeIndex(idxBytes, len(meta.Signals))
+		chunks, err = decodeIndex(idxBytes, meta.Columns())
 		if err != nil {
 			_ = quarantine(fsys, filepath.Join(dir, "index.ktix"))
 			chunks = nil
@@ -594,7 +707,7 @@ func loadState(dir string, fsys faultinj.FS) (Meta, []ChunkInfo, error) {
 		// No (usable) index: rebuild it by decoding every chunk file. Corrupt
 		// chunks are quarantined here rather than discovered one query at a
 		// time.
-		chunks, err = rebuildIndex(dir, fsys, len(meta.Signals))
+		chunks, err = rebuildIndex(dir, fsys, meta.Columns())
 		if err != nil {
 			return meta, nil, err
 		}

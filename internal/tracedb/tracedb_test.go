@@ -14,7 +14,7 @@ import (
 )
 
 // newEngine builds the daemon's default engine for a catalogue design.
-func newEngine(t *testing.T, catalog string) (sim.Engine, sim.Testbench) {
+func newEngine(t testing.TB, catalog string) (sim.Engine, sim.Testbench) {
 	t.Helper()
 	bm, ok := bench.Lookup(catalog)
 	if !ok {

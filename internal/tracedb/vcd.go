@@ -9,8 +9,8 @@ import (
 )
 
 // WriteVCD re-emits the recorded window [from, to] (inclusive, clamped to
-// the recording) as a VCD dump. The bytes are identical to what live
-// streaming would have produced over the same cycles: the first emitted
+// the recording) as a VCD dump of its signals. The bytes are identical to
+// what a vcd.Writer sampling the engine over the same cycles produces: the first emitted
 // cycle becomes the $dumpvars baseline and later cycles appear only when a
 // signal changes.
 func (r *Reader) WriteVCD(w io.Writer, from, to uint64) error {

@@ -67,9 +67,11 @@ go test -race -run 'TestTrace|TestForkDurable' ./internal/server
 
 echo "== race: compiled predicates, row reads, trace queries, minted ids"
 # Breakpoint and query predicates against the interpreter probe, RowReader
-# parity on every engine, indexed queries against brute-force replay, and
-# create ids minted by daemons sharing a store, under the race detector.
-go test -race -run 'Predicate|RowReader|Query|CreateID' ./internal/debug ./internal/tracedb ./internal/server ./internal/sim
+# parity on every engine, indexed queries against brute-force replay,
+# recorded rule firings against interp on every tier, format 1 recordings
+# (no fired-rule columns), and create ids minted by daemons sharing a
+# store, under the race detector.
+go test -race -run 'Predicate|RowReader|Query|CreateID|RecordedFired|Format1Recording' ./internal/debug ./internal/tracedb ./internal/server ./internal/sim
 
 echo "== fuzz smoke (5s per target)"
 go test ./internal/lang -run='^$' -fuzz='^FuzzLexer$' -fuzztime=5s
@@ -132,9 +134,13 @@ echo "== native tier: lockstep gate over the zoo (subprocess vs interp)"
 # cycle-by-cycle lockstep with the reference interpreter; the differential
 # net repeats the gate over generated designs (most of which exercise the
 # unsupported-design skip path). The mirror-built snapshots are held to the
-# interpreter's, and the opcodes protocol 3 retired must be refused.
+# interpreter's, and the opcodes protocol 3 retired must be refused. The
+# fired-rule words a recording session's servo ships must equal interp's
+# per cycle, and fired(rule) breakpoints stop on the same cycle as on the
+# in-process tiers.
 go test -run 'TestLockstep|TestRunUntilSnapshotFromRow|TestRetiredOpcodesRefused' ./internal/native
 go test -run 'TestNativeSpec' ./internal/difftest
+go test -run 'TestRecordedFiredMatchesInterp|TestFormat1RecordingServed|TestBreakpointPredicateParityAcrossTiers' ./internal/server
 
 echo "== native tier: ksimd promotion smoke (tier flip, digest parity, reap)"
 # A hot cuttlesim session must promote onto a compiled binary with no
