@@ -25,10 +25,10 @@ import (
 )
 
 // runEngine drives one freshly built benchmark instance for b.N cycles.
-func runEngine(b *testing.B, bm bench.Benchmark, eng bench.Engine) {
+func runEngine(b *testing.B, bm bench.Benchmark, eng engine.Spec) {
 	b.Helper()
 	inst := bm.New()
-	e, err := eng.Make(inst)
+	e, err := eng.Build(inst.Design, nil, nil, engine.Instrument{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func runEngine(b *testing.B, bm bench.Benchmark, eng bench.Engine) {
 }
 
 func BenchmarkFig1(b *testing.B) {
-	engines := []bench.Engine{
-		{Spec: engine.MustParse("cuttlesim(static,closure)")},
-		{Spec: engine.MustParse("rtlsim(koika,closure)")},
-		{Spec: engine.MustParse("rtlsim(koika,fused,opt)")},
+	engines := []engine.Spec{
+		engine.MustParse("cuttlesim(static,closure)"),
+		engine.MustParse("rtlsim(koika,closure)"),
+		engine.MustParse("rtlsim(koika,fused,opt)"),
 	}
 	for _, bm := range bench.Suite() {
 		for _, eng := range engines {
@@ -70,20 +70,20 @@ func BenchmarkFig2(b *testing.B) {
 		}
 		for _, style := range []circuit.Style{circuit.StyleKoika, circuit.StyleBluespec} {
 			b.Run(fmt.Sprintf("%s/%s", bm.Name, style), func(b *testing.B) {
-				runEngine(b, bm, bench.Engine{Spec: engine.MustParse(fmt.Sprintf("rtlsim(%v,closure)", style))})
+				runEngine(b, bm, engine.MustParse(fmt.Sprintf("rtlsim(%v,closure)", style)))
 			})
 		}
 	}
 }
 
 func BenchmarkFig3(b *testing.B) {
-	engines := []bench.Engine{
-		{Spec: engine.MustParse("cuttlesim(static,closure)")},
-		{Spec: engine.MustParse("cuttlesim(static,bytecode)")},
-		{Spec: engine.MustParse("rtlsim(koika,closure)")},
-		{Spec: engine.MustParse("rtlsim(koika,switch)")},
-		{Spec: engine.MustParse("rtlsim(koika,fused)")},
-		{Spec: engine.MustParse("rtlsim(koika,fused,opt)")},
+	engines := []engine.Spec{
+		engine.MustParse("cuttlesim(static,closure)"),
+		engine.MustParse("cuttlesim(static,bytecode)"),
+		engine.MustParse("rtlsim(koika,closure)"),
+		engine.MustParse("rtlsim(koika,switch)"),
+		engine.MustParse("rtlsim(koika,fused)"),
+		engine.MustParse("rtlsim(koika,fused,opt)"),
 	}
 	for _, name := range []string{"rv32i", "fir"} {
 		bm, ok := bench.Lookup(name)
@@ -102,7 +102,7 @@ func BenchmarkAblation(b *testing.B) {
 	bm, _ := bench.Lookup("rv32i")
 	for _, level := range cuttlesim.Levels() {
 		b.Run(level.String(), func(b *testing.B) {
-			runEngine(b, bm, bench.Engine{Spec: engine.MustParse(fmt.Sprintf("cuttlesim(%v,closure)", level))})
+			runEngine(b, bm, engine.MustParse(fmt.Sprintf("cuttlesim(%v,closure)", level)))
 		})
 	}
 }

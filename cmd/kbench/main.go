@@ -3,42 +3,22 @@
 //
 // Usage:
 //
-//	kbench [-table1] [-fig1] [-fig2] [-fig3] [-ablation] [-verify] [-all]
-//	       [-cycles N] [-halt-budget N] [-full]
-//	       [-parallel N] [-timeout D] [-fuzz N] [-fuzz-base S] [-json PATH]
-//	       [-designs a,b] [-digest-check] [-cpuprofile PATH] [-memprofile PATH]
-//	       [-engines native] [-compile-cache DIR]
+//	kbench [-table1] [-fig1] [-fig2] [-fig3] [-ablation] [-verify]
+//	       [-cycles N] [-halt-budget N] [-full] [-parallel N]
+//	       [-cpuprofile PATH] [-memprofile PATH]
 //	       [-chaos URL | -chaos-verify URL] [-chaos-ledger PATH]
 //	       [-chaos-for D] [-chaos-sessions N] [-chaos-seed N]
 //	       [-swarm URL] [-swarm-sessions N] [-swarm-rate R] [-swarm-steps N]
 //	       [-swarm-cycles N] [-swarm-forks N] [-swarm-design NAME]
 //
-// With no selection flags, -all is assumed. -full uses paper-scale budgets
+// With no selection flags, every report runs. -full uses paper-scale budgets
 // (minutes); the default budgets finish in seconds.
 //
-// -parallel N runs the independent instances of the conformance matrix and
-// the scheduler fuzzer on an N-worker pool (0 = one per CPU). Results are
-// byte-identical to a sequential run: parallelism changes only wall-clock
-// time, never output. -json PATH additionally writes machine-readable
-// timings (design, engine, ns/cycle, cycles/sec, final-state digest) for
-// the BENCH_*.json performance trajectory; -designs restricts it to named
-// catalogue entries and -digest-check makes it fail when two engines
-// disagree on a design's final state (the CI smoke gate). -timeout D bounds
-// the fuzz and JSON stages: a run over budget stops dispatching work,
-// reports what completed (the JSON file stays valid, marked incomplete),
-// and exits 1.
-//
-// -engines native runs the AOT native-tier grid instead: each acceptance
-// design (rv32i and fft by default; -designs overrides) is compiled to a
-// standalone binary through the digest-keyed compile cache and timed as a
-// supervised subprocess against the two fastest in-process Cuttlesim
-// engines, with a compile-cache column recording the cold go-build and warm
-// cache-hit latency per design. Digest parity between the native binary and
-// the in-process engines is enforced unconditionally. The text table goes
-// to stdout; -json writes the cuttlego-native/v1 document (the BENCH_4.json
-// generator). -compile-cache DIR persists the cache between runs (cold
-// compile reads 0 on a pre-warmed cache); empty uses a throwaway directory,
-// giving honest cold numbers.
+// -verify runs the conformance matrix: every catalogued design on every
+// engine configuration against the reference interpreter. Any DIVERGED cell
+// exits 1 after the table is printed. -parallel N runs the matrix's
+// independent cells on an N-worker pool (0 = one per CPU); the table is
+// byte-identical to a sequential run.
 //
 // -chaos URL drives a ksimd daemon with a seeded crash-test workload —
 // random step batches over several durable sessions, frequent checkpoints —
@@ -51,31 +31,28 @@
 // in-process replay of the same design to the same cycle, and keep
 // simulating in lockstep. Any acknowledged-then-lost state fails the run.
 //
-// -swarm URL runs the fleet-scale load generator against a ksimd daemon or
-// a ksimd -router fleet: an open-loop arrival process creates
+// -swarm URL is the fleet smoke: a load generator against a ksimd daemon
+// or a ksimd -router fleet. An open-loop arrival process creates
 // -swarm-sessions concurrent sessions at -swarm-rate arrivals/sec, steps
 // each -swarm-steps times in -swarm-cycles chunks, storms the fleet with
 // -swarm-forks copy-on-write forks per session, and (against a router)
-// forces one live migration. It reports p50/p99 step latency, eviction
-// churn, and fork memory amplification; -json writes the cuttlego-swarm/v1
-// document (the BENCH_5.json generator). Any StateDigest parity violation
-// across forks or migrations fails the run.
+// forces one live migration. Any StateDigest parity violation across forks
+// or migrations, or any failed request beyond deliberate load shedding,
+// fails the run. The perfbench serve workload times the same RPC path.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles covering the
 // selected jobs (the heap profile is snapshotted at exit), so the
 // simulator's own hot spots can be inspected with go tool pprof.
 //
-// Exit codes: 0 on success, 1 on input errors, divergences, or timeout,
-// 2 on an internal toolchain error.
+// Exit codes: 0 on success, 1 on input errors, divergences or failed
+// smoke checks, 2 on an internal toolchain error.
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"cuttlego/internal/bench"
@@ -91,17 +68,11 @@ func main() {
 		fig3     = fs.Bool("fig3", false, "regenerate Figure 3")
 		ablation = fs.Bool("ablation", false, "run the optimization-ladder ablations")
 		verify   = fs.Bool("verify", false, "run the cross-pipeline conformance matrix")
-		fuzzN    = fs.Int("fuzz", 0, "cross-check N random designs across all engines")
-		fuzzBase = fs.Int64("fuzz-base", 1000, "first random-design seed for -fuzz")
 		full     = fs.Bool("full", false, "use paper-scale budgets")
 		cycles   = fs.Uint64("cycles", 0, "override the timed window (cycles)")
 		haltB    = fs.Uint64("halt-budget", 0, "override the Table 1 run-to-completion budget")
-		parallel = fs.Int("parallel", 1, "worker pool size for independent instances (0 = one per CPU)")
-		timeout  = fs.Duration("timeout", 0, "wall-clock budget for the fuzz and JSON stages (0 = none)")
-		jsonPath = fs.String("json", "", "also write machine-readable timings to this file")
-		designs  = fs.String("designs", "", "comma-separated catalogue names restricting the -json grid")
-		digest   = fs.Bool("digest-check", false, "fail -json when engines disagree on a design's final state")
-		swarmURL = fs.String("swarm", "", "open-loop fleet load test against the ksimd daemon or router at this URL")
+		parallel = fs.Int("parallel", 1, "worker pool size for the -verify matrix (0 = one per CPU)")
+		swarmURL = fs.String("swarm", "", "fleet smoke: open-loop load against the ksimd daemon or router at this URL")
 		swarmN   = fs.Int("swarm-sessions", 48, "concurrent sessions created by -swarm")
 		swarmR   = fs.Float64("swarm-rate", 50, "session arrivals per second in -swarm mode")
 		swarmS   = fs.Int("swarm-steps", 10, "step RPCs per -swarm session")
@@ -115,8 +86,6 @@ func main() {
 		chaosFor = fs.Duration("chaos-for", 20*time.Second, "bound the -chaos run when the daemon survives")
 		chaosN   = fs.Int("chaos-sessions", 4, "concurrent sessions driven by -chaos")
 		chaosSd  = fs.Int64("chaos-seed", 1, "seed for the -chaos workload schedule")
-		engines  = fs.String("engines", "", `extra execution tiers: "native" runs the AOT native-tier grid (text to stdout; -json writes the native document)`)
-		ccache   = fs.String("compile-cache", "", "AOT compile-cache directory for -engines native (empty = throwaway dir, honest cold-compile numbers)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the selected jobs to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile (snapshotted at exit) to this file")
 	)
@@ -164,13 +133,6 @@ func main() {
 		cli.Fail("kbench", err)
 	}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
 	opts := bench.Options{Cycles: 200_000, HaltBudget: 5_000_000}
 	if *full {
 		opts = bench.Full()
@@ -181,14 +143,6 @@ func main() {
 	if *haltB != 0 {
 		opts.HaltBudget = *haltB
 	}
-	if *designs != "" {
-		for _, name := range strings.Split(*designs, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				opts.Designs = append(opts.Designs, name)
-			}
-		}
-	}
-	opts.DigestCheck = *digest
 
 	type job struct {
 		sel bool
@@ -208,9 +162,9 @@ func main() {
 		}},
 		{*verify, func() error { return bench.Conformance(os.Stdout, 1000, *parallel) }},
 	}
-	// -fuzz, -json, -swarm, -engines and the chaos modes are explicit-only jobs:
-	// they never run under the implicit -all, so the default invocation's
-	// output is unchanged.
+	// -swarm and the chaos modes are explicit-only jobs: they never run
+	// when no report is selected, so the default invocation's output is
+	// unchanged.
 	if *chaosURL != "" {
 		if err := runChaos(os.Stdout, *chaosURL, *chaosN, *chaosSd, *chaosFor, *chaosLed); err != nil {
 			fail(err)
@@ -230,52 +184,13 @@ func main() {
 			sessions: *swarmN, rate: *swarmR, steps: *swarmS, cycles: *swarmC,
 			forks: *swarmF, migrate: *swarmMig, design: *swarmDes,
 		}
-		if err := runSwarm(ctx, os.Stdout, *swarmURL, cfg, *jsonPath); err != nil {
+		if err := runSwarm(os.Stdout, *swarmURL, cfg); err != nil {
 			fail(err)
 		}
 		stopProfiles()
 		return
 	}
-	if *engines != "" {
-		if *engines != "native" {
-			fail(fmt.Errorf(`-engines: unknown tier %q (supported: "native")`, *engines))
-		}
-		dir := *ccache
-		cleanup := func() {}
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "kbench-native-")
-			if err != nil {
-				fail(err)
-			}
-			dir = tmp
-			cleanup = func() { os.RemoveAll(tmp) }
-		}
-		// Measure once, render twice: each design pays a full go build on a
-		// cold cache before any timing starts.
-		rep, merr := bench.MeasureNative(ctx, opts, dir)
-		cleanup()
-		bench.RenderNative(os.Stdout, rep)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fail(err)
-			}
-			werr := bench.EncodeNative(f, rep)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fail(fmt.Errorf("%s: %w", *jsonPath, werr))
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
-		if merr != nil {
-			fail(merr)
-		}
-		stopProfiles()
-		return
-	}
-	any := *fuzzN > 0 || *jsonPath != ""
+	any := false
 	for _, j := range jobs {
 		if j.sel {
 			any = true
@@ -288,27 +203,6 @@ func main() {
 			}
 			fmt.Println()
 		}
-	}
-	if *fuzzN > 0 {
-		if err := bench.FuzzCtx(ctx, os.Stdout, *fuzzBase, *fuzzN, 64, *parallel); err != nil {
-			fail(err)
-		}
-		fmt.Println()
-	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fail(err)
-		}
-		werr := bench.WriteJSONCtx(ctx, f, opts, *parallel)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			// The report file on disk is still valid JSON, marked incomplete.
-			fail(fmt.Errorf("%s is partial: %w", *jsonPath, werr))
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 	stopProfiles()
 }

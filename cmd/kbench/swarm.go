@@ -6,24 +6,20 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cuttlego/internal/bench"
 	"cuttlego/internal/kclient"
 	"cuttlego/internal/server"
 )
 
-// Swarm mode is the fleet-scale load generator: an open-loop arrival
-// process creates many concurrent sessions against a ksimd daemon or a
-// ksimd -router fleet, steps each one repeatedly, then storms the fleet
-// with copy-on-write forks and (against a router) one forced live
-// migration. It reports p50/p99 step latency, eviction churn, and fork
-// memory amplification — the "millions of users" axis of the paper's
-// debugging-as-a-service story — and fails on any StateDigest parity
-// violation across forks or migrations.
+// Swarm mode is the fleet smoke: an open-loop arrival process creates many
+// concurrent sessions against a ksimd daemon or a ksimd -router fleet,
+// steps each one repeatedly, then storms the fleet with copy-on-write forks
+// and (against a router) one forced live migration. It fails on any
+// StateDigest parity violation across forks or migrations and on any failed
+// request beyond deliberate load shedding.
 
 type swarmConfig struct {
 	sessions int
@@ -43,7 +39,8 @@ func shedStatus(err error) bool {
 		(apiErr.Status == http.StatusTooManyRequests || apiErr.Status == http.StatusServiceUnavailable)
 }
 
-func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, jsonPath string) error {
+func runSwarm(out io.Writer, url string, cfg swarmConfig) error {
+	ctx := context.Background()
 	c := kclient.NewWithOptions(url, kclient.Options{
 		Retry:          kclient.RetryPolicy{MaxAttempts: 5, BaseDelay: 20 * time.Millisecond, MaxDelay: 2 * time.Second},
 		RequestTimeout: 60 * time.Second,
@@ -51,31 +48,20 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 	if err := c.Health(ctx); err != nil {
 		return fmt.Errorf("swarm: fleet at %s not healthy: %w", url, err)
 	}
-	m0, err := c.Metrics(ctx)
-	if err != nil {
-		return fmt.Errorf("swarm: baseline metrics: %w", err)
-	}
-
-	rep := bench.SwarmReport{
-		URL: url, Design: cfg.design,
-		Sessions: cfg.sessions, ForksPerSession: cfg.forks,
-		ArrivalPerSec: cfg.rate, StepCycles: cfg.cycles,
-	}
 	start := time.Now()
 
 	// Phase 1: open-loop session arrivals. A ticker fires at the arrival
 	// rate and each arrival runs independently — slow sessions do not slow
-	// the arrival process, which is what makes the loop "open" and the
-	// latency numbers honest under overload.
+	// the arrival process, which is what makes the loop "open".
 	var (
-		mu       sync.Mutex
-		stepLat  []time.Duration
-		forkLat  []time.Duration
-		ids      []string
-		baseline []server.SessionInfo // parent info captured right before its forks
-		steps    atomic.Uint64
-		errsN    atomic.Uint64
-		shedN    atomic.Uint64
+		mu         sync.Mutex
+		ids        []string
+		checks     int // digest parity checks across forks and migrations
+		mismatches int
+		migrations int
+		steps      atomic.Uint64
+		errsN      atomic.Uint64
+		shedN      atomic.Uint64
 	)
 	interval := time.Duration(float64(time.Second) / cfg.rate)
 	if interval <= 0 {
@@ -84,14 +70,7 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 	var wg sync.WaitGroup
 	tick := time.NewTicker(interval)
 	for i := 0; i < cfg.sessions; i++ {
-		select {
-		case <-tick.C:
-		case <-ctx.Done():
-			rep.Incomplete = true
-		}
-		if rep.Incomplete {
-			break
-		}
+		<-tick.C
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -105,10 +84,7 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 				return
 			}
 			for k := 0; k < cfg.steps; k++ {
-				t0 := time.Now()
-				_, err := c.Step(ctx, info.ID, cfg.cycles)
-				d := time.Since(t0)
-				if err != nil {
+				if _, err := c.Step(ctx, info.ID, cfg.cycles); err != nil {
 					if shedStatus(err) {
 						shedN.Add(1)
 					} else {
@@ -117,9 +93,6 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 					continue
 				}
 				steps.Add(1)
-				mu.Lock()
-				stepLat = append(stepLat, d)
-				mu.Unlock()
 			}
 			mu.Lock()
 			ids = append(ids, info.ID)
@@ -128,17 +101,12 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 	}
 	wg.Wait()
 	tick.Stop()
-	mSessions, err := c.Metrics(ctx)
-	if err != nil {
-		return fmt.Errorf("swarm: post-session metrics: %w", err)
-	}
 
 	// Phase 2: fork storm. Capture each parent's digest first, then fork it
 	// cfg.forks times; every fork must report the parent's exact digest and
 	// cycle (the CoW overlay is supposed to be a perfect view of the base).
-	// Forks are left unstepped so they stay lazy — that is the memory shape
-	// under test — except one per parent, stepped once to prove
-	// materialization diverges cleanly.
+	// Forks are left unstepped so they stay lazy, except one per parent,
+	// stepped once to prove materialization diverges cleanly.
 	var forked atomic.Uint64
 	for _, id := range ids {
 		parent, err := c.Info(ctx, id)
@@ -146,14 +114,11 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 			errsN.Add(1)
 			continue
 		}
-		baseline = append(baseline, parent)
 		wg.Add(1)
 		go func(parent server.SessionInfo) {
 			defer wg.Done()
 			for k := 0; k < cfg.forks; k++ {
-				t0 := time.Now()
 				fk, err := c.Fork(ctx, parent.ID)
-				d := time.Since(t0)
 				if err != nil {
 					if shedStatus(err) {
 						shedN.Add(1)
@@ -164,10 +129,9 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 				}
 				forked.Add(1)
 				mu.Lock()
-				forkLat = append(forkLat, d)
-				rep.DigestChecks++
+				checks++
 				if fk.Digest != parent.Digest || fk.Cycle != parent.Cycle {
-					rep.DigestMismatches++
+					mismatches++
 					fmt.Fprintf(out, "swarm: DIGEST MISMATCH fork %s: %s@%d vs parent %s %s@%d\n",
 						fk.ID, fk.Digest, fk.Cycle, parent.ID, parent.Digest, parent.Cycle)
 				}
@@ -177,7 +141,7 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 					// parent and confirm it advances independently.
 					if st, err := c.Step(ctx, fk.ID, 1); err == nil && st.Cycle != parent.Cycle+1 {
 						mu.Lock()
-						rep.DigestMismatches++
+						mismatches++
 						mu.Unlock()
 						fmt.Fprintf(out, "swarm: fork %s stepped to cycle %d, want %d\n", fk.ID, st.Cycle, parent.Cycle+1)
 					}
@@ -186,10 +150,6 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 		}(parent)
 	}
 	wg.Wait()
-	mForks, err := c.Metrics(ctx)
-	if err != nil {
-		return fmt.Errorf("swarm: post-fork metrics: %w", err)
-	}
 
 	// Phase 3: one forced live migration, when the target is a router.
 	if cfg.migrate && len(ids) > 0 {
@@ -199,10 +159,10 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 			var apiErr *kclient.APIError
 			switch {
 			case err == nil:
-				rep.Migrations++
-				rep.DigestChecks++
+				migrations++
+				checks++
 				if mig.Digest != pre.Digest || mig.Cycle != pre.Cycle {
-					rep.DigestMismatches++
+					mismatches++
 					fmt.Fprintf(out, "swarm: DIGEST MISMATCH migration %s: %s@%d on %s vs %s@%d on %s\n",
 						mig.ID, mig.Digest, mig.Cycle, mig.To, pre.Digest, pre.Cycle, mig.From)
 				}
@@ -216,42 +176,15 @@ func runSwarm(ctx context.Context, out io.Writer, url string, cfg swarmConfig, j
 		}
 	}
 
-	rep.Steps = steps.Load()
-	rep.Errors = errsN.Load()
-	rep.Shed = shedN.Load()
-	rep.Forks = forked.Load()
-	rep.Evictions = mForks.Evictions - m0.Evictions
-	rep.StepLatency = bench.Latency(stepLat)
-	rep.ForkLatency = bench.Latency(forkLat)
-	rep.Memory = bench.SwarmMemory{
-		BaselineHeapBytes: m0.HeapBytes,
-		SessionsHeapBytes: mSessions.HeapBytes,
-		ForksHeapBytes:    mForks.HeapBytes,
-		LazyForks:         mForks.LazyForks,
+	fmt.Fprintf(out, "swarm: %d sessions of %s against %s: %d steps x %d cycles, forks %d, migrations %d\n",
+		len(ids), cfg.design, url, steps.Load(), cfg.cycles, forked.Load(), migrations)
+	fmt.Fprintf(out, "  digest parity %d/%d ok; %d errors, %d shed; wall %.1fs\n",
+		checks-mismatches, checks, errsN.Load(), shedN.Load(), time.Since(start).Seconds())
+	if mismatches > 0 {
+		return fmt.Errorf("swarm: %d digest parity violations", mismatches)
 	}
-	rep.Memory.Amplify(len(ids), int(rep.Forks))
-	rep.WallSec = time.Since(start).Seconds()
-
-	bench.RenderSwarm(out, rep)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		werr := bench.EncodeSwarm(f, rep)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("%s: %w", jsonPath, werr)
-		}
-		fmt.Fprintf(out, "wrote %s\n", jsonPath)
-	}
-	if rep.DigestMismatches > 0 {
-		return fmt.Errorf("swarm: %d digest parity violations", rep.DigestMismatches)
-	}
-	if rep.Errors > 0 {
-		return fmt.Errorf("swarm: %d requests failed (beyond %d shed)", rep.Errors, rep.Shed)
+	if n := errsN.Load(); n > 0 {
+		return fmt.Errorf("swarm: %d requests failed (beyond %d shed)", n, shedN.Load())
 	}
 	return nil
 }

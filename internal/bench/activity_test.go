@@ -1,8 +1,6 @@
 package bench_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"cuttlego/internal/bench"
@@ -104,11 +102,11 @@ func TestIdleBenchActivityAgrees(t *testing.T) {
 	if !ok {
 		t.Fatal("idle benchmark missing from catalogue")
 	}
-	ms, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")}, 4000)
+	ms, err := bench.Measure(bm, engine.MustParse("cuttlesim(static,closure)"), 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("cuttlesim(activity,closure)")}, 4000)
+	ma, err := bench.Measure(bm, engine.MustParse("cuttlesim(activity,closure)"), 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,32 +129,5 @@ func TestIdleBenchActivityAgrees(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Error("idle benchmark produced no skips")
-	}
-}
-
-func TestWriteJSONDesignsFilterAndDigestCheck(t *testing.T) {
-	var buf bytes.Buffer
-	opts := bench.Options{Cycles: 500, Designs: []string{"collatz"}, DigestCheck: true}
-	if err := bench.WriteJSON(&buf, opts, 2); err != nil {
-		t.Fatalf("WriteJSON: %v\n%s", err, buf.String())
-	}
-	var rep bench.JSONReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) == 0 {
-		t.Fatal("no results")
-	}
-	for _, r := range rep.Results {
-		if r.Design != "collatz" {
-			t.Errorf("unexpected design %q with filter", r.Design)
-		}
-		if r.StateDigest == "" {
-			t.Errorf("engine %s: missing state digest", r.Engine)
-		}
-	}
-	// Unknown names are rejected, not silently skipped.
-	if err := bench.WriteJSON(&buf, bench.Options{Cycles: 10, Designs: []string{"nope"}}, 1); err == nil {
-		t.Error("unknown design name accepted")
 	}
 }

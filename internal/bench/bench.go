@@ -18,7 +18,6 @@ import (
 	"cuttlego/internal/dsp"
 	"cuttlego/internal/engine"
 	"cuttlego/internal/gomodel"
-	"cuttlego/internal/native"
 	"cuttlego/internal/riscv"
 	"cuttlego/internal/rvcore"
 	"cuttlego/internal/sim"
@@ -281,36 +280,22 @@ func ParallelStress(nrules, depth int) *ast.Design {
 	return d
 }
 
-// Engine is a registry engine as the harness runs it. Cache is the AOT
-// compile cache the native engine builds through (compile time is paid in
-// Make, outside the timed window, and warm runs reuse the cached binary);
-// the in-process engines ignore it.
-type Engine struct {
-	engine.Spec
-	Cache *native.Cache
-}
-
-// named resolves a literal registry name for the harness's grids.
-func named(name string) Engine { return Engine{Spec: engine.MustParse(name)} }
-
-// engines is named over a list.
-func engines(names ...string) []Engine {
-	out := make([]Engine, len(names))
+// engines resolves literal registry names for the harness's grids.
+func engines(names ...string) []engine.Spec {
+	out := make([]engine.Spec, len(names))
 	for i, n := range names {
-		out[i] = named(n)
+		out[i] = engine.MustParse(n)
 	}
 	return out
 }
 
-// Make builds the engine over a benchmark instance.
-func (e Engine) Make(inst Instance) (sim.Engine, error) {
-	return e.Build(inst.Design, inst.Native, e.Cache, engine.Instrument{})
+// build instantiates an in-process engine over a benchmark instance. The
+// harness passes no compile cache, so the native tier is refused here: it
+// embeds the testbench in its binary, which the harness's cycle loop would
+// then drive a second time.
+func build(spec engine.Spec, inst Instance) (sim.Engine, error) {
+	return spec.Build(inst.Design, nil, nil, engine.Instrument{})
 }
-
-// selfDriving marks engines that embed the instance's testbench (the
-// native tier compiles it into the binary): the harness must not apply
-// inst.Bench on top, and may advance the engine in batches.
-func (e Engine) selfDriving() bool { return e.Kind == "native" }
 
 // Measurement is one timing result.
 type Measurement struct {
@@ -333,40 +318,22 @@ func (m Measurement) CPS() float64 {
 
 // Measure times one engine running one benchmark for the given number of
 // cycles (plus a 10% warmup that is not counted).
-func Measure(bm Benchmark, eng Engine, cycles uint64) (Measurement, error) {
+func Measure(bm Benchmark, spec engine.Spec, cycles uint64) (Measurement, error) {
 	inst := bm.New()
-	e, err := eng.Make(inst)
+	e, err := build(spec, inst)
 	if err != nil {
-		return Measurement{}, fmt.Errorf("bench %s / %s: %w", bm.Name, eng, err)
+		return Measurement{}, fmt.Errorf("bench %s / %s: %w", bm.Name, spec, err)
 	}
-	defer closeEngine(e)
 	tb := inst.Bench
-	if tb == nil || eng.selfDriving() {
+	if tb == nil {
 		tb = sim.NopBench{}
 	}
-	warm := cycles / 10
-	if eng.selfDriving() {
-		advanceCycles(e, warm)
-	} else {
-		runCycles(e, tb, warm)
-	}
+	runCycles(e, tb, cycles/10)
 	start := time.Now()
-	if eng.selfDriving() {
-		advanceCycles(e, cycles)
-	} else {
-		runCycles(e, tb, cycles)
-	}
+	runCycles(e, tb, cycles)
 	elapsed := time.Since(start)
-	return Measurement{Benchmark: bm.Name, Engine: eng.String(), Cycles: cycles,
+	return Measurement{Benchmark: bm.Name, Engine: spec.String(), Cycles: cycles,
 		Elapsed: elapsed, Digest: sim.StateDigest(e)}, nil
-}
-
-// closeEngine releases engines that own resources (the native tier's
-// subprocess); harness code builds engines in bulk.
-func closeEngine(e sim.Engine) {
-	if c, ok := e.(interface{ Close() error }); ok {
-		c.Close()
-	}
 }
 
 // runCycles drives the engine unconditionally for n cycles (benchmarks
@@ -379,23 +346,12 @@ func runCycles(e sim.Engine, tb sim.Testbench, n uint64) {
 	}
 }
 
-// advanceCycles drives a self-driving engine: one batched Advance when the
-// engine supports it (the native tier turns the whole window into a single
-// subprocess round trip), a plain cycle loop otherwise.
-func advanceCycles(e sim.Engine, n uint64) {
-	if a, ok := e.(sim.Advancer); ok {
-		a.Advance(n)
-		return
-	}
-	runCycles(e, sim.NopBench{}, n)
-}
-
 // HaltCycles runs a fresh instance under Cuttlesim until its bench halts
 // (or budget runs out), returning the cycle count. Used for the Table 1
 // "Cycles" column on processor workloads.
 func HaltCycles(bm Benchmark, budget uint64) (uint64, bool) {
 	inst := bm.New()
-	e, err := named("cuttlesim(static,closure)").Make(inst)
+	e, err := build(engine.MustParse("cuttlesim(static,closure)"), inst)
 	if err != nil {
 		return 0, false
 	}
@@ -408,33 +364,25 @@ func HaltCycles(bm Benchmark, budget uint64) (uint64, bool) {
 
 // Verify runs every benchmark briefly on two engines and compares final
 // architectural state; the harness refuses to time engines that disagree.
-func Verify(bm Benchmark, a, b Engine, cycles uint64) error {
+func Verify(bm Benchmark, a, b engine.Spec, cycles uint64) error {
 	ia, ib := bm.New(), bm.New()
-	ea, err := a.Make(ia)
+	ea, err := build(a, ia)
 	if err != nil {
 		return err
 	}
-	defer closeEngine(ea)
-	eb, err := b.Make(ib)
+	eb, err := build(b, ib)
 	if err != nil {
 		return err
 	}
-	defer closeEngine(eb)
 	tba, tbb := ia.Bench, ib.Bench
-	if tba == nil || a.selfDriving() {
+	if tba == nil {
 		tba = sim.NopBench{}
 	}
-	if tbb == nil || b.selfDriving() {
+	if tbb == nil {
 		tbb = sim.NopBench{}
 	}
-	for i := uint64(0); i < cycles; i++ {
-		tba.BeforeCycle(ea)
-		ea.Cycle()
-		tba.AfterCycle(ea)
-		tbb.BeforeCycle(eb)
-		eb.Cycle()
-		tbb.AfterCycle(eb)
-	}
+	runCycles(ea, tba, cycles)
+	runCycles(eb, tbb, cycles)
 	sa, sb := sim.StateOf(ea), sim.StateOf(eb)
 	for i := range sa {
 		if sa[i] != sb[i] {

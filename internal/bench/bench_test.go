@@ -16,7 +16,7 @@ import (
 func TestSuiteBuildsAndRuns(t *testing.T) {
 	for _, bm := range bench.Suite() {
 		t.Run(bm.Name, func(t *testing.T) {
-			m, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")}, 2000)
+			m, err := bench.Measure(bm, engine.MustParse("cuttlesim(static,closure)"), 2000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -27,17 +27,25 @@ func TestSuiteBuildsAndRuns(t *testing.T) {
 	}
 }
 
+// TestEnginesAgreeOnEveryBenchmark is the harness's digest gate: every
+// in-process engine, static and activity levels included, must land on the
+// reference interpreter's final state digest after a timed 2000-cycle
+// window on every catalogued design, testbench attached.
 func TestEnginesAgreeOnEveryBenchmark(t *testing.T) {
-	cuttle := bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")}
-	rtl := bench.Engine{Spec: engine.MustParse("rtlsim(koika,switch)")}
-	interp := bench.Engine{Spec: engine.MustParse("interp")}
-	for _, bm := range bench.Suite() {
+	for _, bm := range append(bench.Suite(), bench.Extras()...) {
 		t.Run(bm.Name, func(t *testing.T) {
-			if err := bench.Verify(bm, cuttle, rtl, 300); err != nil {
-				t.Error(err)
+			ref, err := bench.Measure(bm, engine.MustParse("interp"), 2000)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := bench.Verify(bm, cuttle, interp, 300); err != nil {
-				t.Error(err)
+			for _, spec := range engine.InProcess() {
+				m, err := bench.Measure(bm, spec, 2000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Digest != ref.Digest {
+					t.Errorf("%s: state digest %016x, interp has %016x", spec, m.Digest, ref.Digest)
+				}
 			}
 		})
 	}
@@ -108,11 +116,11 @@ func TestPaperShapeHolds(t *testing.T) {
 	}
 	bm := bench.Suite()[3] // rv32i
 	cycles := uint64(60_000)
-	mc, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")}, cycles)
+	mc, err := bench.Measure(bm, engine.MustParse("cuttlesim(static,closure)"), cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse("rtlsim(koika,closure)")}, cycles)
+	mr, err := bench.Measure(bm, engine.MustParse("rtlsim(koika,closure)"), cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +131,7 @@ func TestPaperShapeHolds(t *testing.T) {
 	// The ladder's top beats its bottom. The gap is tens of percent, so
 	// take the best of three runs per level to ride out scheduler noise on
 	// shared machines.
-	best := func(eng bench.Engine) float64 {
+	best := func(eng engine.Spec) float64 {
 		var out float64
 		for i := 0; i < 3; i++ {
 			m, err := bench.Measure(bm, eng, cycles)
@@ -136,8 +144,8 @@ func TestPaperShapeHolds(t *testing.T) {
 		}
 		return out
 	}
-	static := best(bench.Engine{Spec: engine.MustParse("cuttlesim(static,closure)")})
-	naive := best(bench.Engine{Spec: engine.MustParse("cuttlesim(naive,closure)")})
+	static := best(engine.MustParse("cuttlesim(static,closure)"))
+	naive := best(engine.MustParse("cuttlesim(naive,closure)"))
 	if static <= naive {
 		t.Errorf("LStatic (%.0f cyc/s) should beat LNaive (%.0f cyc/s)", static, naive)
 	}
@@ -180,7 +188,7 @@ func TestStressLadderPaysOff(t *testing.T) {
 	best := func(level cuttlesim.Level) float64 {
 		var out float64
 		for i := 0; i < 3; i++ {
-			m, err := bench.Measure(bm, bench.Engine{Spec: engine.MustParse(fmt.Sprintf("cuttlesim(%v,closure)", level))}, 20_000)
+			m, err := bench.Measure(bm, engine.MustParse(fmt.Sprintf("cuttlesim(%v,closure)", level)), 20_000)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,14 +1,12 @@
 // The parallel batch runner: independent benchmark instances and
-// scheduler-fuzz seeds execute concurrently on a worker pool, with results
+// random-design seeds execute concurrently on a worker pool, with results
 // collected in index order so the report output is byte-identical to a
 // sequential run. Every instance is freshly built inside its job (designs
 // and testbenches carry per-instance state), so jobs share nothing.
 package bench
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 
@@ -37,62 +35,31 @@ func Workers(n int) int {
 // depends only on the jobs, never on scheduling; with workers == 1 the
 // jobs run sequentially in order on the calling goroutine.
 func RunParallel[T any](n, workers int, job func(i int) T) []T {
-	out, _ := RunParallelCtx(context.Background(), n, workers, job)
-	return out
-}
-
-// RunParallelCtx is RunParallel under a context: once ctx is cancelled no
-// further jobs are dispatched (in-flight jobs finish; jobs wanting earlier
-// cancellation must watch ctx themselves). It returns the results gathered
-// so far — slots of undispatched jobs hold T's zero value — plus the set of
-// job indices that actually ran, in ascending order. The worker-count
-// normalization is RunParallel's: < 1 becomes GOMAXPROCS, > n is clamped
-// to n.
-func RunParallelCtx[T any](ctx context.Context, n, workers int, job func(i int) T) (out []T, ran []int) {
-	out = make([]T, n)
-	done := make([]bool, n)
-	workers = Workers(workers)
-	if workers == 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				break
-			}
+	out := make([]T, n)
+	workers = min(Workers(workers), n)
+	if workers <= 1 {
+		for i := range out {
 			out[i] = job(i)
-			done[i] = true
 		}
-	} else {
-		if workers > n {
-			workers = n
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					out[i] = job(i)
-					done[i] = true
-				}
-			}()
-		}
-	dispatch:
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break dispatch
+		return out
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				out[i] = job(i)
 			}
-		}
-		close(next)
-		wg.Wait()
+		}()
 	}
-	for i, ok := range done {
-		if ok {
-			ran = append(ran, i)
-		}
+	for i := range out {
+		next <- i
 	}
-	return out, ran
+	close(next)
+	wg.Wait()
+	return out
 }
 
 // FuzzOne runs one randomized design (testkit.Random seed) across the
@@ -110,11 +77,6 @@ func FuzzOne(seed int64, cycles uint64) error {
 		eng  sim.Engine
 	}
 	var others []pair
-	defer func() {
-		for _, p := range others {
-			closeEngine(p.eng)
-		}
-	}()
 	for _, spec := range engine.InProcess() {
 		e, err := spec.Build(build(), nil, nil, engine.Instrument{})
 		if err != nil {
@@ -143,40 +105,5 @@ func FuzzOne(seed int64, cycles uint64) error {
 			}
 		}
 	}
-	return nil
-}
-
-// Fuzz cross-checks count random designs (seeds base..base+count-1)
-// against the full engine matrix, fanning the seeds out over the worker
-// pool. Output is deterministic regardless of worker count.
-func Fuzz(w io.Writer, base int64, count int, cycles uint64, workers int) error {
-	return FuzzCtx(context.Background(), w, base, count, cycles, workers)
-}
-
-// FuzzCtx is Fuzz under a context: cancellation stops dispatching further
-// seeds, the seeds already checked are reported, and the cancellation cause
-// is returned so the run still ends with a truthful verdict.
-func FuzzCtx(ctx context.Context, w io.Writer, base int64, count int, cycles uint64, workers int) error {
-	fmt.Fprintf(w, "Scheduler fuzz: %d random designs x %d engines, %d cycles each\n\n",
-		count, len(engine.InProcess())+1, cycles)
-	errs, ran := RunParallelCtx(ctx, count, workers, func(i int) error {
-		return FuzzOne(base+int64(i), cycles)
-	})
-	failed := 0
-	for _, i := range ran {
-		verdict := "OK"
-		if errs[i] != nil {
-			verdict = errs[i].Error()
-			failed++
-		}
-		fmt.Fprintf(w, "seed %-6d %s\n", base+int64(i), verdict)
-	}
-	if failed > 0 {
-		return fmt.Errorf("fuzz: %d of %d seeds diverged", failed, len(ran))
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("fuzz stopped after %d of %d seeds: %w", len(ran), count, err)
-	}
-	fmt.Fprintf(w, "\nall %d seeds agree with the reference interpreter\n", count)
 	return nil
 }

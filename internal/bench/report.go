@@ -8,6 +8,7 @@ import (
 	"cuttlego/internal/circuit"
 	"cuttlego/internal/cppgen"
 	"cuttlego/internal/cuttlesim"
+	"cuttlego/internal/engine"
 	"cuttlego/internal/verilog"
 )
 
@@ -17,33 +18,7 @@ type Options struct {
 	Cycles uint64
 	// HaltBudget bounds the Table 1 run-to-completion measurement.
 	HaltBudget uint64
-	// Designs, when non-empty, restricts the JSON export to the named
-	// catalogue entries (Table 1 rows or extras).
-	Designs []string
-	// DigestCheck makes the JSON export fail when two engines that ran the
-	// same design disagree on the final state digest — the CI smoke gate.
-	DigestCheck bool
 }
-
-// selectBenchmarks resolves the Designs filter against the catalogue; an
-// empty filter means the whole Table 1 suite.
-func (o Options) selectBenchmarks() ([]Benchmark, error) {
-	if len(o.Designs) == 0 {
-		return Suite(), nil
-	}
-	var out []Benchmark
-	for _, name := range o.Designs {
-		bm, ok := Lookup(name)
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown design %q (catalogue: %v)", name, Names())
-		}
-		out = append(out, bm)
-	}
-	return out, nil
-}
-
-// Quick returns small budgets suitable for tests and smoke runs.
-func Quick() Options { return Options{Cycles: 20_000, HaltBudget: 300_000} }
 
 // Full returns budgets comparable (in shape, not scale) to the paper's.
 func Full() Options { return Options{Cycles: 2_000_000, HaltBudget: 50_000_000} }
@@ -205,7 +180,7 @@ func Ablation(w io.Writer, opts Options) error {
 func ladder(w io.Writer, bm Benchmark, opts Options) error {
 	var naive float64
 	for _, level := range cuttlesim.Levels() {
-		m, err := Measure(bm, named(fmt.Sprintf("cuttlesim(%v,closure)", level)), opts.Cycles)
+		m, err := Measure(bm, engine.MustParse(fmt.Sprintf("cuttlesim(%v,closure)", level)), opts.Cycles)
 		if err != nil {
 			return err
 		}
@@ -238,22 +213,26 @@ func AblationStress(w io.Writer, opts Options) error {
 // interpreter. This is the report to run before trusting any timing
 // number. The (design, engine) cells are independent, so they fan out over
 // the worker pool; the rendered table is byte-identical for any worker
-// count.
+// count. The whole table is written before the error naming every
+// diverged cell is returned.
 func Conformance(w io.Writer, cycles uint64, workers int) error {
+	return conformance(w, append(Suite(), Extras()...), cycles, workers)
+}
+
+func conformance(w io.Writer, suite []Benchmark, cycles uint64, workers int) error {
 	grid := engines("cuttlesim(naive,closure)", "cuttlesim(static,closure)", "cuttlesim(static,bytecode)",
 		"cuttlesim(activity,closure)", "cuttlesim(activity,bytecode)",
 		"rtlsim(koika,closure)", "rtlsim(koika,fused,opt)", "rtlsim(bluespec,closure)")
-	ref := named("interp")
+	ref := engine.MustParse("interp")
 	fmt.Fprintf(w, "Conformance: each engine vs the reference interpreter (%d cycles)\n\n", cycles)
 	fmt.Fprintf(w, "%-10s", "design")
 	for _, e := range grid {
 		fmt.Fprintf(w, " %28s", e)
 	}
 	fmt.Fprintln(w)
-	suite := append(Suite(), Extras()...)
 	type cell struct {
 		bm  Benchmark
-		eng Engine
+		eng engine.Spec
 	}
 	var cells []cell
 	skip := make([]bool, 0, len(suite)*len(grid))
@@ -276,12 +255,21 @@ func Conformance(w io.Writer, cycles uint64, workers int) error {
 		}
 		return "OK"
 	})
+	var diverged []string
 	for bi, bm := range suite {
 		fmt.Fprintf(w, "%-10s", bm.Name)
-		for ei := range grid {
-			fmt.Fprintf(w, " %28s", verdicts[bi*len(grid)+ei])
+		for ei, e := range grid {
+			v := verdicts[bi*len(grid)+ei]
+			if v == "DIVERGED" {
+				diverged = append(diverged, bm.Name+"/"+e.String())
+			}
+			fmt.Fprintf(w, " %28s", v)
 		}
 		fmt.Fprintln(w)
+	}
+	if len(diverged) > 0 {
+		return fmt.Errorf("conformance: %d cells diverged from interp: %s",
+			len(diverged), strings.Join(diverged, ", "))
 	}
 	return nil
 }

@@ -25,7 +25,6 @@ import (
 	"cuttlego/internal/cuttlesim"
 	"cuttlego/internal/gomodel"
 	"cuttlego/internal/interp"
-	"cuttlego/internal/native"
 	"cuttlego/internal/netopt"
 	"cuttlego/internal/rtlsim"
 	"cuttlego/internal/sim"
@@ -186,10 +185,18 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// Compiler is the native tier's compile cache: it builds a design's binary
+// and launches it as a supervised subprocess. *native.Cache implements it;
+// taking an interface keeps the packages that build only in-process engines
+// from linking the native tier.
+type Compiler interface {
+	Engine(d *ast.Design, b *gomodel.Bindings) (sim.Engine, error)
+}
+
 // Build instantiates the engine over a checked design. b and c serve only
 // the native engine: b serializes the design's external world into the
 // compiled binary, c is the compile cache it builds through.
-func (s Spec) Build(d *ast.Design, b *gomodel.Bindings, c *native.Cache, in Instrument) (sim.Engine, error) {
+func (s Spec) Build(d *ast.Design, b *gomodel.Bindings, c Compiler, in Instrument) (sim.Engine, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("engine %s: %w", s, err)
 	}
@@ -200,7 +207,7 @@ func (s Spec) Build(d *ast.Design, b *gomodel.Bindings, c *native.Cache, in Inst
 		if c == nil {
 			return nil, fmt.Errorf("engine native: no compile cache to build through")
 		}
-		return engineOf(c.Engine(d, b))
+		return c.Engine(d, b)
 	case "rtlsim":
 		style, _ := lookup(s.Style, styles)
 		ckt, err := circuit.Compile(d, style)
@@ -246,8 +253,8 @@ var groups = []struct {
 }
 
 // InProcess is the cuttlesim and rtlsim groups: every engine
-// that runs without the Go toolchain, and the one lockstep matrix kdiff,
-// kbench -fuzz and the fuzz targets check.
+// that runs without the Go toolchain, and the one matrix kdiff, the fuzz
+// targets and the bench harness's digest gate check.
 func InProcess() []Spec {
 	var out []Spec
 	for _, g := range groups {

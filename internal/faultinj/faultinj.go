@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,6 +80,9 @@ type Event struct {
 	Op   string
 	Call uint64
 	Kind Kind
+	// Path is the base name of the file a filesystem op touched (the new
+	// name, for a rename); empty for the other ops.
+	Path string
 }
 
 func (e Event) String() string { return fmt.Sprintf("%s#%d:%s", e.Op, e.Call, e.Kind) }
@@ -105,7 +109,11 @@ func New(seed int64, rules ...Rule) *Injector {
 }
 
 // Hit records one call of op and reports the first rule that fires on it.
-func (in *Injector) Hit(op string) (Rule, bool) {
+func (in *Injector) Hit(op string) (Rule, bool) { return in.hit(op, "") }
+
+// hit is Hit for a call on the file path, whose base name a fired event
+// records.
+func (in *Injector) hit(op, path string) (Rule, bool) {
 	if in == nil {
 		return Rule{}, false
 	}
@@ -127,7 +135,10 @@ func (in *Injector) Hit(op string) (Rule, bool) {
 			fire = in.rng.Float64() < r.Prob
 		}
 		if fire {
-			in.events = append(in.events, Event{Op: op, Call: n, Kind: r.Kind})
+			if path != "" {
+				path = filepath.Base(path)
+			}
+			in.events = append(in.events, Event{Op: op, Call: n, Kind: r.Kind, Path: path})
 			return r, true
 		}
 	}

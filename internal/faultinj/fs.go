@@ -75,7 +75,7 @@ func (osFS) RemoveAll(path string) error                  { return os.RemoveAll(
 
 // NewFS wraps inner so writes, renames, syncs, and reads consult the
 // injector first. Ops: "fs.write", "fs.rename", "fs.sync" (file and
-// directory syncs alike), "fs.read".
+// directory syncs alike), "fs.read"; a fired event's Path names the file.
 // A Tear rule on fs.write reports success but persists only the first half
 // of the data — the shape a crash mid-write leaves behind.
 func NewFS(inner FS, inj *Injector) FS { return faultFS{inner: inner, inj: inj} }
@@ -86,7 +86,7 @@ type faultFS struct {
 }
 
 func (f faultFS) WriteFile(path string, data []byte, perm fs.FileMode) error {
-	if r, ok := f.inj.Hit("fs.write"); ok {
+	if r, ok := f.inj.hit("fs.write", path); ok {
 		switch r.Kind {
 		case Tear:
 			return f.inner.WriteFile(path, data[:len(data)/2], perm)
@@ -101,7 +101,7 @@ func (f faultFS) WriteFile(path string, data []byte, perm fs.FileMode) error {
 }
 
 func (f faultFS) Rename(oldpath, newpath string) error {
-	if r, ok := f.inj.Hit("fs.rename"); ok && r.Kind != Latency && r.Kind != Stall {
+	if r, ok := f.inj.hit("fs.rename", newpath); ok && r.Kind != Latency && r.Kind != Stall {
 		return fmt.Errorf("%w: fs.rename %s", ErrInjected, filepath.Base(newpath))
 	} else if ok {
 		sleep(r)
@@ -110,7 +110,7 @@ func (f faultFS) Rename(oldpath, newpath string) error {
 }
 
 func (f faultFS) Sync(path string) error {
-	if r, ok := f.inj.Hit("fs.sync"); ok && r.Kind != Latency && r.Kind != Stall {
+	if r, ok := f.inj.hit("fs.sync", path); ok && r.Kind != Latency && r.Kind != Stall {
 		return fmt.Errorf("%w: fs.sync %s", ErrInjected, filepath.Base(path))
 	} else if ok {
 		sleep(r)
@@ -119,7 +119,7 @@ func (f faultFS) Sync(path string) error {
 }
 
 func (f faultFS) ReadFile(path string) ([]byte, error) {
-	if r, ok := f.inj.Hit("fs.read"); ok {
+	if r, ok := f.inj.hit("fs.read", path); ok {
 		switch r.Kind {
 		case Truncate:
 			data, err := f.inner.ReadFile(path)

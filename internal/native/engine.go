@@ -649,10 +649,11 @@ func (e *Engine) Restore(s sim.Snapshot) {
 }
 
 // Engine builds (or reuses) the design's compiled binary and launches a
-// supervised subprocess over it. A cached binary that fails to launch or
-// identifies as the wrong design is quarantined and rebuilt once before
-// giving up.
-func (c *Cache) Engine(d *ast.Design, b *gomodel.Bindings) (*Engine, error) {
+// supervised subprocess over it, returned as a *Engine. A cached binary
+// that fails to launch or identifies as the wrong design is quarantined and
+// rebuilt once before giving up. The sim.Engine result is what lets
+// engine.Spec.Build take the cache as an engine.Compiler.
+func (c *Cache) Engine(d *ast.Design, b *gomodel.Bindings) (sim.Engine, error) {
 	res, err := c.Build(d, b)
 	if err != nil {
 		return nil, err
@@ -665,11 +666,13 @@ func (c *Cache) Engine(d *ast.Design, b *gomodel.Bindings) (*Engine, error) {
 		return nil, lerr
 	}
 	c.Quarantine(res.Key, lerr)
-	res, err = c.Build(d, b)
-	if err != nil {
+	if res, err = c.Build(d, b); err != nil {
 		return nil, err
 	}
-	return c.Launch(d, res)
+	if eng, err = c.Launch(d, res); err != nil {
+		return nil, err
+	}
+	return eng, nil
 }
 
 // Launch is the package-level Launch, with the child owned by the cache

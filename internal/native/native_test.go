@@ -37,13 +37,15 @@ func launch(t *testing.T, c *native.Cache, d *ast.Design, b *gomodel.Bindings) *
 	if err != nil {
 		t.Fatalf("Engine(%s): %v", d.Name, err)
 	}
-	t.Cleanup(func() { e.Close() })
-	return e
+	t.Cleanup(func() { e.(*native.Engine).Close() })
+	return e.(*native.Engine)
 }
 
 // TestLockstepStandalone runs zoo designs (no external functions) under the
 // native tier and the reference interpreter and demands state-digest
-// equality plus identical fired-rule sets on every single cycle.
+// equality plus identical fired-rule sets on every single cycle, then one
+// batched 2000-cycle Advance (a single round trip) that must land on the
+// interpreter's digest too.
 func TestLockstepStandalone(t *testing.T) {
 	designs := []*ast.Design{
 		bench.CollatzBench(27).MustCheck(),
@@ -73,6 +75,12 @@ func TestLockstepStandalone(t *testing.T) {
 				if eng.CycleCount() != ref.CycleCount() {
 					t.Fatalf("cycle count drift: interp %d native %d", ref.CycleCount(), eng.CycleCount())
 				}
+			}
+			eng.Advance(2000)
+			sim.Run(ref, nil, 2000)
+			if a, b := sim.StateDigest(ref), sim.StateDigest(eng); a != b || eng.CycleCount() != ref.CycleCount() {
+				t.Fatalf("after Advance(2000): interp digest %016x at %d, native %016x at %d",
+					a, ref.CycleCount(), b, eng.CycleCount())
 			}
 		})
 	}
@@ -379,7 +387,7 @@ func TestHandshakeDigestGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Engine through swapped binary: %v", err)
 	}
-	defer eng.Close()
+	defer eng.(*native.Engine).Close()
 	st := c2.StatsSnapshot()
 	if st.Quarantined != 1 || st.Builds != 1 {
 		t.Fatalf("quarantined=%d builds=%d, want 1/1", st.Quarantined, st.Builds)
@@ -498,10 +506,11 @@ func TestReaperKillAll(t *testing.T) {
 	}
 	d := bench.CollatzBench(17).MustCheck()
 	c := openCache(t, native.CacheOptions{})
-	eng, err := c.Engine(d, nil)
+	se, err := c.Engine(d, nil)
 	if err != nil {
 		t.Fatalf("Engine: %v", err)
 	}
+	eng := se.(*native.Engine)
 	if native.Live() != 1 {
 		t.Fatalf("Live() = %d, want 1", native.Live())
 	}
@@ -546,10 +555,11 @@ func TestClosedEngineIsCollectable(t *testing.T) {
 	}
 	collected := make(chan struct{})
 	func() {
-		e, err := c.Engine(d, nil)
+		se, err := c.Engine(d, nil)
 		if err != nil {
 			t.Fatalf("Engine: %v", err)
 		}
+		e := se.(*native.Engine)
 		if err := e.StepN(3); err != nil {
 			t.Fatalf("StepN: %v", err)
 		}

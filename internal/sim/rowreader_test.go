@@ -103,7 +103,7 @@ func TestRowReaderNative(t *testing.T) {
 			t.Fatalf("native %s: %v", name, err)
 		}
 		exerciseRow(t, "native on "+name, e, inst.Bench)
-		if err := e.Close(); err != nil {
+		if err := e.(*native.Engine).Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
 	}

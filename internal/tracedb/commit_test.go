@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,26 +137,31 @@ func TestTornChunkWriteThenCrash(t *testing.T) {
 // does too. The retried Flush then commits everything.
 func TestFlushSyncFailureKeepsIndex(t *testing.T) {
 	rows := replayRows(t, "collatz", 300)
-	// Create syncs meta's temp file, the index's temp file and then the
-	// directory: 3 syncs, 2 writes. Rows 0..260 land c0, c64, c128 and c192
-	// unsynced (writes 3..6), so the commit writes the tail c256 (write 7),
-	// syncs the four chunk files (4..7), the tail (8), the directory (9) and
-	// the index temp (10), then writes the index (write 8).
-	for _, rule := range []faultinj.Rule{
-		{Op: "fs.sync", Nth: 5, Kind: faultinj.Fail},  // a chunk file, c64
-		{Op: "fs.sync", Nth: 8, Kind: faultinj.Fail},  // the tail's file
-		{Op: "fs.sync", Nth: 9, Kind: faultinj.Fail},  // the directory
-		{Op: "fs.sync", Nth: 10, Kind: faultinj.Fail}, // the index's temp file
-		{Op: "fs.write", Nth: 7, Kind: faultinj.Fail}, // the tail's file
-		{Op: "fs.write", Nth: 8, Kind: faultinj.Fail}, // the index itself
+	// Rows 0..260 land c0, c64, c128 and c192 unsynced, so the commit
+	// writes the tail c256, syncs the five chunk files and the directory,
+	// then writes the index through its temp file.
+	probe := recordCalls()
+	rec, _ := newCollatzRecorder(t, probe)
+	appendRows(t, rec, rows, 0, 260)
+	from := len(probe.Events())
+	if err := rec.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	calls := map[string]faultinj.Rule{}
+	for _, c := range namedCalls(probe.Events()[from:]) {
+		calls[c.name] = c.rule
+	}
+	for _, name := range []string{
+		"sync c64", "sync c256", "sync dir", "sync index temp",
+		"write c256 temp", "write index temp",
 	} {
-		t.Run(faultinj.Event{Op: rule.Op, Call: rule.Nth, Kind: rule.Kind}.String(), func(t *testing.T) {
+		rule, ok := calls[name]
+		if !ok {
+			t.Fatalf("the commit issued no %q call: %v", name, probe.Events()[from:])
+		}
+		t.Run(name, func(t *testing.T) {
 			inj := faultinj.New(1, rule)
-			dir := filepath.Join(t.TempDir(), "trace")
-			rec, err := Create(dir, faultinj.NewFS(faultinj.OS(), inj), MetaFor(bench.CollatzBench(27).MustCheck(), 64))
-			if err != nil {
-				t.Fatalf("Create: %v", err)
-			}
+			rec, dir := newCollatzRecorder(t, inj)
 			if s, w := inj.Calls("fs.sync"), inj.Calls("fs.write"); s != 3 || w != 2 {
 				t.Fatalf("Create issued %d syncs and %d writes, want 3 and 2", s, w)
 			}
@@ -166,7 +172,7 @@ func TestFlushSyncFailureKeepsIndex(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := rec.Flush(); err == nil {
-				t.Fatalf("Flush succeeded over an injected %s fault", rule.Op)
+				t.Fatalf("Flush succeeded over an injected %s fault", name)
 			}
 			if len(inj.Events()) != 1 {
 				t.Fatalf("injector events = %v, want one", inj.Events())
@@ -611,61 +617,113 @@ func TestTruncateThenCrashKeepsCut(t *testing.T) {
 // success, and cycle 200 when the Flush did too.
 func TestTruncateFaultThenCrash(t *testing.T) {
 	rows := replayRows(t, "collatz", 200)
-	ops := []string{"fs.write", "fs.sync", "fs.rename"}
 	for _, tc := range truncateCuts {
 		// rewind truncates to the cut and, when that succeeds, re-records
-		// the replayed rows and flushes them.
-		rewind := func(rec *Recorder) (terr, ferr error) {
+		// the replayed rows and flushes them. mark, when set, is called
+		// after each of the three steps.
+		rewind := func(rec *Recorder, mark func(step string)) (terr, ferr error) {
 			if terr = rec.Truncate(tc.cycle); terr != nil {
 				return terr, nil
 			}
+			mark("truncate")
 			appendRows(t, rec, rows, tc.cycle+1, 200)
-			return nil, rec.Flush()
+			mark("append")
+			ferr = rec.Flush()
+			mark("flush")
+			return nil, ferr
 		}
-		// Count the calls of each op before and during a clean rewind.
-		probe := faultinj.New(1)
+		// Record every call of a clean rewind, to name each by its step
+		// and the file it touches.
+		probe := recordCalls()
 		rec, _ := newCollatzRecorder(t, probe)
 		appendRows(t, rec, rows, 0, 200)
 		if err := rec.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
 		}
-		before := map[string]uint64{}
-		for _, op := range ops {
-			before[op] = probe.Calls(op)
-		}
-		if terr, ferr := rewind(rec); terr != nil || ferr != nil {
+		from := len(probe.Events())
+		var cases []namedCall
+		terr, ferr := rewind(rec, func(step string) {
+			evs := probe.Events()
+			for _, c := range namedCalls(evs[from:]) {
+				c.name = step + "/" + c.name
+				cases = append(cases, c)
+			}
+			from = len(evs)
+		})
+		if terr != nil || ferr != nil {
 			t.Fatalf("rewind to %d: Truncate %v, Flush %v", tc.cycle, terr, ferr)
 		}
-		for _, op := range ops {
-			for n := before[op] + 1; n <= probe.Calls(op); n++ {
-				rule := faultinj.Rule{Op: op, Nth: n, Kind: faultinj.Fail}
-				t.Run(tc.name+"/"+faultinj.Event{Op: op, Call: n, Kind: rule.Kind}.String(), func(t *testing.T) {
-					inj := faultinj.New(1, rule)
-					rec, dir := newCollatzRecorder(t, inj)
-					appendRows(t, rec, rows, 0, 200)
-					if err := rec.Flush(); err != nil {
-						t.Fatalf("Flush: %v", err)
-					}
-					terr, ferr := rewind(rec)
-					if len(inj.Events()) != 1 {
-						t.Fatalf("injector events = %v, want one", inj.Events())
-					}
-					// Crash: rec is dropped, never closed.
-					r, err := Open(dir, faultinj.OS())
-					if err != nil {
-						t.Fatalf("Open after crash: %v", err)
-					}
-					_, last, ok := r.Bounds()
-					if !ok || last < tc.cycle ||
-						(terr == nil && last != tc.cycle && last != 200) ||
-						(terr == nil && ferr == nil && last != 200) {
-						t.Fatalf("after Truncate(%d) = %v, Flush = %v and a crash, recording ends at %d/%v", tc.cycle, terr, ferr, last, ok)
-					}
-					checkRows(t, r, rows, 0, last)
-				})
-			}
+		for _, c := range cases {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				inj := faultinj.New(1, c.rule)
+				rec, dir := newCollatzRecorder(t, inj)
+				appendRows(t, rec, rows, 0, 200)
+				if err := rec.Flush(); err != nil {
+					t.Fatalf("Flush: %v", err)
+				}
+				terr, ferr := rewind(rec, func(string) {})
+				if len(inj.Events()) != 1 {
+					t.Fatalf("injector events = %v, want one", inj.Events())
+				}
+				// Crash: rec is dropped, never closed.
+				r, err := Open(dir, faultinj.OS())
+				if err != nil {
+					t.Fatalf("Open after crash: %v", err)
+				}
+				_, last, ok := r.Bounds()
+				if !ok || last < tc.cycle ||
+					(terr == nil && last != tc.cycle && last != 200) ||
+					(terr == nil && ferr == nil && last != 200) {
+					t.Fatalf("after Truncate(%d) = %v, Flush = %v and a crash, recording ends at %d/%v", tc.cycle, terr, ferr, last, ok)
+				}
+				checkRows(t, r, rows, 0, last)
+			})
 		}
 	}
+}
+
+// recordCalls returns an injector whose event log records every write,
+// sync and rename: each fires a zero-delay Latency fault, which the call
+// passes through unharmed. A clean run's log then ties each call number to
+// the file the call touched.
+func recordCalls() *faultinj.Injector {
+	var rules []faultinj.Rule
+	for _, op := range []string{"fs.write", "fs.sync", "fs.rename"} {
+		rules = append(rules, faultinj.Rule{Op: op, Nth: 1, Every: 1, Kind: faultinj.Latency})
+	}
+	return faultinj.New(1, rules...)
+}
+
+// namedCall is one recorded call: its name and the rule that fails it.
+type namedCall struct {
+	name string
+	rule faultinj.Rule
+}
+
+// namedCalls names recorded calls by what they do to which file: "write
+// c64 temp", "rename c64", "sync c64", "sync index temp", "sync dir" (the
+// recording directory, which newCollatzRecorder names trace). A name
+// repeated in evs gets its ordinal: the second directory sync is "sync dir
+// 2".
+func namedCalls(evs []faultinj.Event) []namedCall {
+	seen := map[string]int{}
+	out := make([]namedCall, len(evs))
+	for i, ev := range evs {
+		file := strings.TrimSuffix(ev.Path, ".tmp")
+		name := strings.TrimSuffix(strings.TrimSuffix(file, ".ktrc"), ".ktix")
+		switch {
+		case ev.Path == "trace":
+			name = "dir"
+		case file != ev.Path:
+			name += " temp"
+		}
+		name = strings.TrimPrefix(ev.Op, "fs.") + " " + name
+		if seen[name]++; seen[name] > 1 {
+			name += " " + strconv.Itoa(seen[name])
+		}
+		out[i] = namedCall{name, faultinj.Rule{Op: ev.Op, Nth: ev.Call, Kind: faultinj.Fail}}
+	}
+	return out
 }
 
 // TestTruncateIntoTornChunkThenFlush: a chunk write that tore but reported

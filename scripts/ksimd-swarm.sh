@@ -15,11 +15,9 @@
 #   FORKS     forks per session (default 4)
 #   STEPS     step RPCs per session (default 4)
 #   CYCLES    cycles per step RPC (default 200)
-#   MAXSESS   per-backend live session bound (default 64; raise it to keep
-#             the fork storm resident and measure in-memory amplification,
-#             lower it to measure eviction churn)
+#   MAXSESS   per-backend live session bound (default 64; lower it to put
+#             the parity checks under eviction churn)
 #   RACE=1    build all binaries with the race detector
-#   JSON      also write the cuttlego-swarm/v1 report to this path
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +27,6 @@ STEPS="${STEPS:-4}"
 CYCLES="${CYCLES:-200}"
 MAXSESS="${MAXSESS:-64}"
 RACE="${RACE:-0}"
-JSON="${JSON:-}"
 
 workdir=$(mktemp -d)
 pids=()
@@ -78,13 +75,9 @@ pids+=($!)
 wait_addr "$workdir/addr-router" "$workdir/router.log"
 router="http://$(cat "$workdir/addr-router")"
 
-json_args=()
-if [ -n "$JSON" ]; then
-    json_args=(-json "$JSON")
-fi
 "$workdir/kbench" -swarm "$router" \
     -swarm-sessions "$SESSIONS" -swarm-rate 50 -swarm-steps "$STEPS" \
-    -swarm-cycles "$CYCLES" -swarm-forks "$FORKS" "${json_args[@]}"
+    -swarm-cycles "$CYCLES" -swarm-forks "$FORKS"
 
 # Clean shutdown: SIGTERM everyone and require exit 0 — the backends flush
 # durable sessions, the router drains in-flight proxies.
