@@ -1,8 +1,9 @@
-// Command kdap is the Debug Adapter Protocol bridge: it lets VS Code (or
-// any DAP client) drive a ksimd simulation session like a paused program —
-// conditional breakpoints, forward and reverse stepping, register
-// inspection in the Variables pane, and trace-store queries from the Debug
-// Console.
+// Command kdap is the Debug Adapter Protocol bridge and the one remote
+// debugger front-end: it lets VS Code (or any DAP client) drive a ksimd
+// simulation session like a paused program — conditional breakpoints,
+// rule breakpoints, forward and reverse stepping, a stack of the rules
+// that fired, register inspection and pokes in the Variables pane, and
+// trace-store queries from the Debug Console.
 //
 // Usage:
 //
@@ -21,6 +22,17 @@
 // afterwards. Either way kdap enables trace recording when the daemon has
 // a store, so evaluate can answer time-travel queries such as
 // "first x.rd0() == 32'd1".
+//
+// A function breakpoint names a rule and arms the condition fired(rule).
+// The daemon checks conditions between cycles, so it stops after the
+// cycle in which the rule committed, not at rule entry as the local kdbg's
+// "break rule" does; reverseContinue finds the previous such cycle with
+// one "last" trace query over every breakpoint. The stack has one frame
+// per rule that committed in the cycle that led to the current one, in
+// schedule order ("<rule> @ cycle N"), or the single frame
+// "<design> @ cycle N" when none did or the session is at cycle 0.
+// setVariable on a register pokes it at its own width. Line breakpoints
+// are refused: sessions serve no source listing.
 package main
 
 import (

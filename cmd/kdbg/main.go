@@ -6,16 +6,10 @@
 // Usage:
 //
 //	kdbg <design>
-//	kdbg -connect URL (<design> | -session ID)
 //	kdbg -revcd TRACEDIR [-from N] [-to N]
 //
-// With -connect, kdbg becomes a remote client of a running ksimd daemon:
-// the same prompt, but every command is an RPC against a hosted session
-// (created from a catalogue name or a .koika file, or attached with
-// -session). Remote sessions add checkpoint/restore/fork commands on top
-// of the usual stepping, conditional breakpoints, and reverse execution,
-// plus trace recording and time-travel queries (record/query/diff) against
-// the session's on-disk trace store.
+// Sessions hosted by a ksimd daemon are debugged remotely through kdap, the
+// Debug Adapter Protocol bridge, from an IDE or any DAP client.
 //
 // With -revcd, kdbg re-emits a VCD document on stdout from a trace-store
 // directory (a ksimd session's <store>/sessions/<id>/trace), offline and
@@ -55,14 +49,12 @@ import (
 func main() {
 	fs := cli.Flags("kdbg")
 	maxErrors := fs.Int("maxerrors", 0, "cap on reported frontend errors (0 = default, -1 = unlimited)")
-	connect := fs.String("connect", "", "drive a remote ksimd daemon at this URL instead of simulating in-process")
-	session := fs.String("session", "", "with -connect: attach to an existing session id")
 	revcd := fs.String("revcd", "", "re-emit a VCD on stdout from this trace-store directory and exit")
 	from := fs.Uint64("from", 0, "with -revcd: first cycle of the window")
 	to := fs.Uint64("to", 0, "with -revcd: last cycle of the window, inclusive (0 = end of recording)")
 	cli.Parse(fs, os.Args[1:])
 	if *revcd != "" {
-		if fs.NArg() != 0 || *connect != "" {
+		if fs.NArg() != 0 {
 			cli.Usage("usage: kdbg -revcd TRACEDIR [-from N] [-to N]\n")
 		}
 		r, err := tracedb.Open(*revcd, faultinj.OS())
@@ -76,13 +68,6 @@ func main() {
 		if err := r.WriteVCD(os.Stdout, *from, end); err != nil {
 			cli.Fail("kdbg", err)
 		}
-		return
-	}
-	if *connect != "" {
-		if fs.NArg() > 1 || (fs.NArg() == 1) == (*session != "") {
-			cli.Usage("usage: kdbg -connect URL (<design> | -session ID)\n")
-		}
-		remoteMain(*connect, *session, fs.Arg(0))
 		return
 	}
 	if fs.NArg() != 1 {

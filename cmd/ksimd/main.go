@@ -1,7 +1,7 @@
 // Command ksimd is the simulation-as-a-service daemon: it hosts concurrent
 // simulation sessions behind a JSON HTTP API, with durable snapshots,
-// transparent eviction/resurrection, remote debugging (kdbg -connect), and
-// recorded traces (indexed queries, diffs, VCD).
+// transparent eviction/resurrection, remote debugging (through kdap, the
+// DAP bridge), and recorded traces (indexed queries, diffs, VCD).
 //
 // Usage:
 //

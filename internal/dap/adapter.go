@@ -9,7 +9,9 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -33,11 +35,14 @@ type Adapter struct {
 	wmu    sync.Mutex
 	seq    int
 
-	id     string   // the debugged session
-	design string   // its design name, for stack frames
-	owns   bool     // launch created it, so disconnect deletes it
-	conds  []string // breakpoint conditions, as last set by setBreakpoints
-	cycle  uint64
+	id     string          // the debugged session
+	design string          // its design name, for stack frames
+	sched  []string        // its rule schedule, when a catalogue design
+	owns   bool            // launch created it, so disconnect deletes it
+	conds  []string        // breakpoint conditions, as last set by setBreakpoints
+	rules  []string        // fired(rule) conditions, as last set by setFunctionBreakpoints
+	cycle  uint64          // the session's cycle
+	fired  map[string]bool // rule commits of the cycle that led to cycle; nil if unknown
 }
 
 // Serve runs a DAP session over rw (stdio, a TCP connection, a pipe in
@@ -110,8 +115,10 @@ func (a *Adapter) dispatch(req request) error {
 		if err := a.respond(req, map[string]any{
 			"supportsConfigurationDoneRequest": true,
 			"supportsConditionalBreakpoints":   true,
+			"supportsFunctionBreakpoints":      true, // a function is a rule
 			"supportsStepBack":                 true, // stepBack + reverseContinue
 			"supportsEvaluateForHovers":        true,
+			"supportsSetVariable":              true,
 		}); err != nil {
 			return err
 		}
@@ -140,8 +147,7 @@ func (a *Adapter) dispatch(req request) error {
 		if err != nil {
 			return a.fail(req, err)
 		}
-		a.id, a.design, a.owns, a.cycle = info.ID, info.Design, true, info.Cycle
-		a.startRecording(ctx)
+		a.attached(ctx, info, true)
 		return a.respond(req, nil)
 
 	case "attach":
@@ -156,22 +162,34 @@ func (a *Adapter) dispatch(req request) error {
 		if err != nil {
 			return a.fail(req, err)
 		}
-		a.id, a.design, a.owns, a.cycle = info.ID, info.Design, false, info.Cycle
-		a.startRecording(ctx)
+		a.attached(ctx, info, false)
 		return a.respond(req, nil)
 
-	case "setBreakpoints":
+	case "setBreakpoints", "setFunctionBreakpoints":
+		// A function breakpoint names a rule. The two lists are kept
+		// apart, but the daemon clears breakpoints only all at once, so
+		// setting either re-arms the other.
 		var args struct {
 			Breakpoints []struct {
 				Condition string `json:"condition"`
 				Line      int    `json:"line"`
+				Name      string `json:"name"`
 			} `json:"breakpoints"`
 		}
 		_ = json.Unmarshal(req.Arguments, &args)
+		list, other := &a.conds, a.rules
+		if req.Command == "setFunctionBreakpoints" {
+			list, other = &a.rules, a.conds
+		}
 		if err := a.client.Break(ctx, a.id, server.BreakRequest{Clear: true}); err != nil {
 			return a.fail(req, err)
 		}
-		a.conds = a.conds[:0]
+		for _, c := range other {
+			if err := a.client.Break(ctx, a.id, server.BreakRequest{Cond: c}); err != nil {
+				return a.fail(req, err)
+			}
+		}
+		*list = (*list)[:0]
 		type bp struct {
 			Verified bool   `json:"verified"`
 			Message  string `json:"message,omitempty"`
@@ -179,18 +197,22 @@ func (a *Adapter) dispatch(req request) error {
 		}
 		out := make([]bp, 0, len(args.Breakpoints))
 		for _, b := range args.Breakpoints {
-			if b.Condition == "" {
+			cond := b.Condition
+			if req.Command == "setFunctionBreakpoints" {
+				cond = "fired(" + b.Name + ")"
+			}
+			if cond == "" {
 				// Simulations have no source lines to break on; only
 				// conditional breakpoints can be honored.
 				out = append(out, bp{Verified: false, Line: b.Line,
 					Message: "line breakpoints are not supported; add a condition (e.g. done.rd0() == 1'd1)"})
 				continue
 			}
-			if err := a.client.Break(ctx, a.id, server.BreakRequest{Cond: b.Condition}); err != nil {
+			if err := a.client.Break(ctx, a.id, server.BreakRequest{Cond: cond}); err != nil {
 				out = append(out, bp{Verified: false, Line: b.Line, Message: err.Error()})
 				continue
 			}
-			a.conds = append(a.conds, b.Condition)
+			*list = append(*list, cond)
 			out = append(out, bp{Verified: true, Line: b.Line})
 		}
 		return a.respond(req, map[string]any{"breakpoints": out})
@@ -212,16 +234,24 @@ func (a *Adapter) dispatch(req request) error {
 		if err != nil {
 			return a.fail(req, err)
 		}
-		a.cycle = info.Cycle
-		return a.respond(req, map[string]any{
-			"stackFrames": []map[string]any{{
-				"id":     1,
-				"name":   fmt.Sprintf("%s @ cycle %d", a.design, a.cycle),
+		if info.Cycle != a.cycle {
+			// Another client moved the session.
+			a.cycle, a.fired = info.Cycle, nil
+		}
+		names := a.firedRules()
+		if len(names) == 0 {
+			names = []string{a.design}
+		}
+		frames := make([]map[string]any, len(names))
+		for i, name := range names {
+			frames[i] = map[string]any{
+				"id":     i + 1,
+				"name":   fmt.Sprintf("%s @ cycle %d", name, a.cycle),
 				"line":   0,
 				"column": 0,
-			}},
-			"totalFrames": 1,
-		})
+			}
+		}
+		return a.respond(req, map[string]any{"stackFrames": frames, "totalFrames": len(frames)})
 
 	case "scopes":
 		return a.respond(req, map[string]any{
@@ -247,17 +277,39 @@ func (a *Adapter) dispatch(req request) error {
 		}
 		vars := make([]variable, 0, len(names))
 		for _, name := range names {
-			v := regs.Values[name]
-			vars = append(vars, variable{Name: name, Value: fmt.Sprintf("0x%s (%d bits)", v.Hex, v.Width)})
+			vars = append(vars, variable{Name: name, Value: regText(regs.Values[name])})
 		}
 		return a.respond(req, map[string]any{"variables": vars})
+
+	case "setVariable":
+		var args struct {
+			Name  string `json:"name"`
+			Value string `json:"value"`
+		}
+		_ = json.Unmarshal(req.Arguments, &args)
+		// A poke at the register's own width; the value is hex with 0x,
+		// binary with 0b, or decimal, and a trailing "(N bits)" is ignored.
+		cur, err := a.client.Regs(ctx, a.id, server.RegsRequest{Get: []string{args.Name}})
+		if err != nil {
+			return a.fail(req, err)
+		}
+		text, _, _ := strings.Cut(strings.TrimSpace(args.Value), " ")
+		v, err := strconv.ParseUint(text, 0, 64)
+		if err != nil {
+			return a.fail(req, fmt.Errorf("%q is not a number", args.Value))
+		}
+		reg := server.RegValue{Width: cur.Values[args.Name].Width, Hex: strconv.FormatUint(v, 16)}
+		if _, err := a.client.Regs(ctx, a.id, server.RegsRequest{Set: map[string]server.RegValue{args.Name: reg}}); err != nil {
+			return a.fail(req, err)
+		}
+		return a.respond(req, map[string]any{"value": regText(reg)})
 
 	case "continue":
 		resp, err := a.client.Step(ctx, a.id, continueBudget)
 		if err != nil {
 			return a.fail(req, err)
 		}
-		a.cycle = resp.Cycle
+		a.cycle, a.fired = resp.Cycle, resp.Fired
 		if err := a.respond(req, map[string]any{"allThreadsContinued": true}); err != nil {
 			return err
 		}
@@ -271,18 +323,19 @@ func (a *Adapter) dispatch(req request) error {
 		if err != nil {
 			return a.fail(req, err)
 		}
-		a.cycle = resp.Cycle
+		a.cycle, a.fired = resp.Cycle, resp.Fired
 		if err := a.respond(req, nil); err != nil {
 			return err
 		}
 		return a.stopped("step", fmt.Sprintf("cycle %d", a.cycle))
 
 	case "stepBack":
-		info, err := a.client.Reverse(ctx, a.id, 1)
-		if err != nil {
+		if a.cycle == 0 {
+			return a.fail(req, fmt.Errorf("already at cycle 0"))
+		}
+		if err := a.rewind(ctx, a.cycle-1); err != nil {
 			return a.fail(req, err)
 		}
-		a.cycle = info.Cycle
 		if err := a.respond(req, nil); err != nil {
 			return err
 		}
@@ -332,40 +385,84 @@ func (a *Adapter) dispatch(req request) error {
 	}
 }
 
-// startRecording best-effort enables trace recording so evaluate can run
-// time-travel queries. A daemon without a store answers 409; the debug
-// session still works, only queries are unavailable.
-func (a *Adapter) startRecording(ctx context.Context) {
+// attached adopts the session launch or attach named. It also
+// best-effort enables trace recording so evaluate can run time-travel
+// queries: a daemon without a store answers 409, and the debug session
+// still works, only queries are unavailable.
+func (a *Adapter) attached(ctx context.Context, info server.SessionInfo, owns bool) {
+	a.id, a.design, a.owns, a.cycle, a.fired, a.sched = info.ID, info.Design, owns, info.Cycle, nil, nil
+	if bm, ok := bench.Lookup(info.Design); ok {
+		a.sched = bm.New().Design.Schedule
+	}
 	_, _ = a.client.TraceRecord(ctx, a.id, true)
 }
 
+// firedRules names the rules that committed in the cycle that led to the
+// current one, in schedule order; rules the schedule does not list (a
+// design from outside the catalogue) follow by name.
+func (a *Adapter) firedRules() []string {
+	var names, out []string
+	for r, ok := range a.fired {
+		if ok {
+			names = append(names, r)
+		}
+	}
+	sort.Strings(names)
+	for _, r := range append(slices.Clip(a.sched), names...) {
+		if slices.Contains(names, r) && !slices.Contains(out, r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// rewind moves the session back to cycle target. The daemon restores a
+// snapshot and replays, which leaves no record of the rules that fired in
+// the cycle into target, so past cycle 0 rewind lands one cycle short and
+// steps once: that step reports them.
+func (a *Adapter) rewind(ctx context.Context, target uint64) error {
+	n := a.cycle - target
+	if target > 0 {
+		n++
+	}
+	info, err := a.client.Reverse(ctx, a.id, n)
+	if err != nil {
+		return err
+	}
+	a.cycle, a.fired = info.Cycle, nil
+	if target == 0 {
+		return nil
+	}
+	resp, err := a.client.Step(ctx, a.id, 1)
+	if err != nil {
+		return err
+	}
+	a.cycle, a.fired = resp.Cycle, resp.Fired
+	return nil
+}
+
+// regText renders a register value as the Variables pane shows it.
+func regText(v server.RegValue) string { return fmt.Sprintf("0x%s (%d bits)", v.Hex, v.Width) }
+
 // reverseContinue runs backwards to the most recent earlier cycle where
-// any breakpoint condition held, found with a "last" trace query over the
-// recording; without conditions or a recording it rewinds to cycle 0.
+// any breakpoint held, a condition or a rule firing, found with one "last"
+// trace query over the recording; without breakpoints or a recording it
+// rewinds to cycle 0.
 func (a *Adapter) reverseContinue(ctx context.Context) (reason, desc string, err error) {
 	if a.cycle == 0 {
 		return "entry", "already at cycle 0", nil
 	}
-	if len(a.conds) > 0 {
-		expr := a.conds[0]
-		if len(a.conds) > 1 {
-			parts := make([]string, len(a.conds))
-			for i, c := range a.conds {
-				parts[i] = "(" + c + ")"
-			}
-			expr = strings.Join(parts, " | ")
-		}
+	if conds := append(slices.Clip(a.conds), a.rules...); len(conds) > 0 {
+		expr := "(" + strings.Join(conds, ") | (") + ")"
 		res, qerr := a.client.TraceQuery(ctx, a.id, server.TraceQueryRequest{
 			Mode: "last", Expr: expr, From: 0, To: a.cycle - 1,
 		})
 		var apiErr *kclient.APIError
 		switch {
 		case qerr == nil && res.Matched:
-			info, err := a.client.Reverse(ctx, a.id, a.cycle-res.Cycle)
-			if err != nil {
+			if err := a.rewind(ctx, res.Cycle); err != nil {
 				return "", "", err
 			}
-			a.cycle = info.Cycle
 			return "breakpoint", fmt.Sprintf("breakpoint held at cycle %d", a.cycle), nil
 		case qerr != nil && !(errors.As(qerr, &apiErr) && apiErr.Status == http.StatusConflict):
 			// 409 means no recording — fall through to a plain rewind; any
@@ -373,11 +470,9 @@ func (a *Adapter) reverseContinue(ctx context.Context) (reason, desc string, err
 			return "", "", qerr
 		}
 	}
-	info, err := a.client.Reverse(ctx, a.id, a.cycle)
-	if err != nil {
+	if err := a.rewind(ctx, 0); err != nil {
 		return "", "", err
 	}
-	a.cycle = info.Cycle
 	return "entry", fmt.Sprintf("rewound to cycle %d", a.cycle), nil
 }
 
@@ -392,7 +487,7 @@ func (a *Adapter) evaluate(ctx context.Context, expr string) (string, error) {
 		regs, err := a.client.Regs(ctx, a.id, server.RegsRequest{Get: []string{expr}})
 		if err == nil {
 			if v, ok := regs.Values[expr]; ok {
-				return fmt.Sprintf("0x%s (%d bits)", v.Hex, v.Width), nil
+				return regText(v), nil
 			}
 		}
 		return "", fmt.Errorf("no register %q", expr)

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"cuttlego/internal/bench"
 	"cuttlego/internal/kclient"
 	"cuttlego/internal/router"
 	"cuttlego/internal/server"
@@ -138,21 +140,41 @@ func body(m map[string]any) map[string]any {
 	return b
 }
 
-// frameCycle extracts the cycle from the single stack frame's name
-// ("<design> @ cycle N").
-func (c *testClient) frameCycle() uint64 {
+// stack returns the stack's cycle and the rules its frames name
+// ("<rule> @ cycle N", in schedule order), or no rules for the single
+// "<design> @ cycle N" frame of a cycle in which no rule fired.
+func (c *testClient) stack(design string) (uint64, []string) {
 	c.t.Helper()
 	resp := c.roundTrip("stackTrace", map[string]any{"threadId": 1})
 	frames, _ := body(resp)["stackFrames"].([]any)
-	if len(frames) != 1 {
-		c.t.Fatalf("stackTrace returned %d frames, want 1", len(frames))
+	if len(frames) == 0 {
+		c.t.Fatalf("stackTrace returned no frames")
 	}
-	name, _ := frames[0].(map[string]any)["name"].(string)
-	var design string
 	var cycle uint64
-	if _, err := fmt.Sscanf(name, "%s @ cycle %d", &design, &cycle); err != nil {
-		c.t.Fatalf("frame name %q is not \"<design> @ cycle N\": %v", name, err)
+	var rules []string
+	for _, f := range frames {
+		name, _ := f.(map[string]any)["name"].(string)
+		var what string
+		var at uint64
+		if _, err := fmt.Sscanf(name, "%s @ cycle %d", &what, &at); err != nil {
+			c.t.Fatalf("frame name %q is not \"<rule or design> @ cycle N\": %v", name, err)
+		}
+		if len(rules) > 0 && at != cycle {
+			c.t.Fatalf("frames name cycles %d and %d", cycle, at)
+		}
+		cycle = at
+		rules = append(rules, what)
 	}
+	if len(rules) == 1 && rules[0] == design {
+		rules = nil
+	}
+	return cycle, rules
+}
+
+// frameCycle returns the cycle the stack frames name.
+func (c *testClient) frameCycle() uint64 {
+	c.t.Helper()
+	cycle, _ := c.stack("")
 	return cycle
 }
 
@@ -262,6 +284,117 @@ func driveAcceptanceScript(t *testing.T, url, sessionID string) {
 	c.waitEvent("terminated")
 }
 
+// firedAt lists, in schedule order, the rules that a "scan fired(r) in
+// c..c" trace query reports as committed in the cycle that led to cycle c.
+func (c *testClient) firedAt(schedule []string, cycle uint64) []string {
+	c.t.Helper()
+	var out []string
+	for _, r := range schedule {
+		got := c.evaluate(fmt.Sprintf("scan fired(%s) in %d..%d", r, cycle, cycle))
+		switch got {
+		case fmt.Sprintf("1 matching cycles: [%d]", cycle):
+			out = append(out, r)
+		case "no match":
+		default:
+			c.t.Fatalf("scan fired(%s) in %d..%d = %q", r, cycle, cycle, got)
+		}
+	}
+	return out
+}
+
+// driveRuleScript is the rule-level session: a function breakpoint on a
+// collatz rule next to a conditional one, continue to each, reverseContinue
+// back to the rule's previous hit, stepBack, and a register poke — with
+// the stack checked against trace queries at every stop.
+func driveRuleScript(t *testing.T, url, sessionID string) {
+	c := newTestClient(t, url)
+	bm, _ := bench.Lookup("collatz")
+	d := bm.New().Design
+
+	resp := c.roundTrip("initialize", map[string]any{"adapterID": "kdap"})
+	if body(resp)["supportsFunctionBreakpoints"] != true || body(resp)["supportsSetVariable"] != true {
+		t.Fatalf("initialize capabilities missing function breakpoints or setVariable: %v", body(resp))
+	}
+	c.waitEvent("initialized")
+	c.roundTrip("attach", map[string]any{"session": sessionID})
+
+	// A rule breakpoint is verified; an unknown rule comes back unverified
+	// with the daemon's compile error.
+	resp = c.roundTrip("setFunctionBreakpoints", map[string]any{
+		"breakpoints": []map[string]any{{"name": "restart"}, {"name": "no_such_rule"}},
+	})
+	bps, _ := body(resp)["breakpoints"].([]any)
+	if len(bps) != 2 || bps[0].(map[string]any)["verified"] != true || bps[1].(map[string]any)["verified"] != false {
+		t.Fatalf("function breakpoints = %v, want restart verified and no_such_rule not", bps)
+	}
+	if msg, _ := bps[1].(map[string]any)["message"].(string); !strings.Contains(msg, "no_such_rule") {
+		t.Fatalf("unknown rule refused with %q, want the daemon's compile error", msg)
+	}
+	// Setting conditions afterwards keeps the rule breakpoint armed.
+	c.roundTrip("setBreakpoints", map[string]any{
+		"breakpoints": []map[string]any{{"condition": "x.rd0() == 32'd1"}},
+	})
+	c.roundTrip("configurationDone", nil)
+	c.waitEvent("stopped")
+
+	stopAt := func(cmd string) (uint64, []string) {
+		t.Helper()
+		c.roundTrip(cmd, map[string]any{"threadId": 1})
+		if ev := c.waitEvent("stopped"); body(ev)["reason"] != "breakpoint" {
+			t.Fatalf("%s stopped with reason %v, want breakpoint", cmd, body(ev)["reason"])
+		}
+		cycle, rules := c.stack(d.Name)
+		if want := c.firedAt(d.Schedule, cycle); !slices.Equal(rules, want) {
+			t.Fatalf("%s: stack at cycle %d = %v, trace says %v fired", cmd, cycle, rules, want)
+		}
+		return cycle, rules
+	}
+	one, _ := stopAt("continue") // x == 1
+	if got := c.evaluate("x"); !strings.HasPrefix(got, "0x1 ") {
+		t.Fatalf("first stop at cycle %d has x = %q, want the x == 1 condition", one, got)
+	}
+	hit, rules := stopAt("continue") // restart committed
+	if hit <= one || !slices.Contains(rules, "restart") {
+		t.Fatalf("second stop at cycle %d with stack %v, want restart after cycle %d", hit, rules, one)
+	}
+	// Drop the condition: the rule breakpoint alone is left.
+	c.roundTrip("setBreakpoints", map[string]any{"breakpoints": []map[string]any{}})
+	next, rules := stopAt("continue")
+	if next <= hit || !slices.Contains(rules, "restart") {
+		t.Fatalf("third stop at cycle %d with stack %v, want restart after cycle %d", next, rules, hit)
+	}
+	if back, rules := stopAt("reverseContinue"); back != hit || !slices.Contains(rules, "restart") {
+		t.Fatalf("reverseContinue stopped at cycle %d with stack %v, want restart's previous hit at %d", back, rules, hit)
+	}
+
+	c.roundTrip("stepBack", map[string]any{"threadId": 1})
+	c.waitEvent("stopped")
+	cycle, rules := c.stack(d.Name)
+	if want := c.firedAt(d.Schedule, cycle); cycle != hit-1 || !slices.Equal(rules, want) {
+		t.Fatalf("stepBack: stack at cycle %d = %v, want cycle %d with %v", cycle, rules, hit-1, want)
+	}
+
+	// setVariable pokes at the register's width and reads back.
+	resp = c.roundTrip("setVariable", map[string]any{"variablesReference": 1, "name": "seed", "value": "0x2a"})
+	if got := body(resp)["value"]; got != "0x2a (32 bits)" {
+		t.Fatalf("setVariable answered %v", got)
+	}
+	resp = c.roundTrip("variables", map[string]any{"variablesReference": 1})
+	vars, _ := body(resp)["variables"].([]any)
+	found := false
+	for _, v := range vars {
+		v := v.(map[string]any)
+		found = found || v["name"] == "seed" && v["value"] == "0x2a (32 bits)"
+	}
+	if !found {
+		t.Fatalf("variables after setVariable seed=0x2a: %v", vars)
+	}
+	c.expectFail("setVariable", map[string]any{"variablesReference": 1, "name": "done", "value": "2"})
+
+	c.roundTrip("disconnect", nil)
+	c.waitEvent("terminated")
+}
+
 func TestDAPAgainstLocalDaemon(t *testing.T) {
 	srv, err := server.New(server.Config{StoreDir: t.TempDir()})
 	if err != nil {
@@ -270,11 +403,13 @@ func TestDAPAgainstLocalDaemon(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { _ = srv.Close() })
-	info, err := kclient.New(ts.URL).Create(context.Background(), server.CreateRequest{Catalog: "collatz"})
-	if err != nil {
-		t.Fatalf("create: %v", err)
+	for _, script := range []func(*testing.T, string, string){driveAcceptanceScript, driveRuleScript} {
+		info, err := kclient.New(ts.URL).Create(context.Background(), server.CreateRequest{Catalog: "collatz"})
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		script(t, ts.URL, info.ID)
 	}
-	driveAcceptanceScript(t, ts.URL, info.ID)
 }
 
 func TestDAPAgainstRoutedFleet(t *testing.T) {
@@ -299,11 +434,13 @@ func TestDAPAgainstRoutedFleet(t *testing.T) {
 	rts := httptest.NewServer(rt.Handler())
 	t.Cleanup(rts.Close)
 
-	info, err := kclient.New(rts.URL).Create(context.Background(), server.CreateRequest{Catalog: "collatz"})
-	if err != nil {
-		t.Fatalf("create via router: %v", err)
+	for _, script := range []func(*testing.T, string, string){driveAcceptanceScript, driveRuleScript} {
+		info, err := kclient.New(rts.URL).Create(context.Background(), server.CreateRequest{Catalog: "collatz"})
+		if err != nil {
+			t.Fatalf("create via router: %v", err)
+		}
+		script(t, rts.URL, info.ID)
 	}
-	driveAcceptanceScript(t, rts.URL, info.ID)
 }
 
 // TestDAPLaunchOwnsSession: launch creates the session and disconnect

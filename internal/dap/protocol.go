@@ -2,8 +2,9 @@
 // wire framing and message envelopes in this file, the session logic in
 // adapter.go. The subset implemented is what an IDE needs to drive a
 // simulation like a paused program — initialize/launch/attach,
-// conditional breakpoints, forward and reverse stepping, register
-// inspection, and evaluate mapped to trace-store queries.
+// conditional and function (rule) breakpoints, forward and reverse
+// stepping, a stack of the rules that fired, register inspection and
+// pokes, and evaluate mapped to trace-store queries.
 //
 // DAP frames every JSON message with MIME-style headers, of which only
 // Content-Length is meaningful:

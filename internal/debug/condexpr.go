@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"cuttlego/internal/ast"
 	"cuttlego/internal/bits"
@@ -140,6 +141,20 @@ func CompileExpr(design *ast.Design, expr *ast.Node) (_ *Predicate, err error) {
 // condition's row. No source text can spell it, so a condition reaches it
 // only through fired(rule).
 func firedReg(i int) string { return "fired#" + strconv.Itoa(i) }
+
+// FiredBit recognizes the lowered form of fired(rule) in a compiled
+// condition and returns the rule's fired-rule word and bit.
+func FiredBit(n *ast.Node) (word, bit int, ok bool) {
+	if n.Kind != ast.KUnop || n.Op != ast.OpSlice || n.Wid != 1 || n.A.Kind != ast.KRead {
+		return 0, 0, false
+	}
+	w, found := strings.CutPrefix(n.A.Name, "fired#")
+	if !found {
+		return 0, 0, false
+	}
+	word, err := strconv.Atoi(w)
+	return word, n.Lo, err == nil
+}
 
 // lowerFired rewrites, in place, every fired(rule) call in expr into a
 // 1-bit slice of the pseudo-register holding the rule's fired word, and

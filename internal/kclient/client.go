@@ -1,7 +1,7 @@
 // Package kclient is the thin HTTP client for a running ksimd daemon. It
 // speaks the JSON wire vocabulary of internal/server and nothing else, so
-// tools (kdbg -connect, kbench -swarm and -chaos, perfbench) can drive
-// remote sessions without linking any simulation engine.
+// tools (kdap, kbench -swarm and -chaos, perfbench) can drive remote
+// sessions without linking any simulation engine.
 package kclient
 
 import (

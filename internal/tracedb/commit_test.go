@@ -343,7 +343,7 @@ func TestEncodeRowsRoundTrip(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		rows = append(rows, 42, i/50, i*1e12) // constant, four runs, every row new
 	}
-	data, sums := encodeRows(nil, 7, rows, nsig)
+	data, sums := encodeRows(nil, 7, rows, nsig, nsig)
 	v, err := parseChunk(data, nsig)
 	if err != nil {
 		t.Fatalf("parseChunk: %v", err)
@@ -361,7 +361,7 @@ func TestEncodeRowsRoundTrip(t *testing.T) {
 				t.Fatalf("signal %d row %d = %d, want %d", s, i, col[i], rows[i*nsig+s])
 			}
 		}
-		if want := sumOf(col); sums[s] != want {
+		if want := sumOf(col, false); sums[s] != want {
 			t.Fatalf("signal %d summary %+v, want %+v", s, sums[s], want)
 		}
 	}

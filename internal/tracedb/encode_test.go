@@ -10,11 +10,12 @@ import (
 
 // encodeRowsByColumn is the reference chunk encoder: the same layout as
 // encodeRows, built one column at a time by striding through the
-// row-major buffer.
-func encodeRowsByColumn(start uint64, rows []uint64, nsig int) ([]byte, []SigSum) {
+// row-major buffer. Columns from nreg on are fired-rule words, summarized
+// by their AND (Min) and OR (Max).
+func encodeRowsByColumn(start uint64, rows []uint64, nsig, nreg int) ([]byte, []SigSum) {
 	count := len(rows) / nsig
 	buf := append([]byte(nil), chunkMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, layoutVer)
+	buf = binary.LittleEndian.AppendUint16(buf, chunkVer)
 	buf = binary.LittleEndian.AppendUint16(buf, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, start)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
@@ -30,7 +31,11 @@ func encodeRowsByColumn(start uint64, rows []uint64, nsig int) ([]byte, []SigSum
 				dense += n * (i - runStart)
 				runs += n + uvarintLen(uint64(i-runStart))
 				prev, runStart = v, i
-				sum.Min, sum.Max = min(sum.Min, v), max(sum.Max, v)
+				if s >= nreg {
+					sum.Min, sum.Max = sum.Min&v, sum.Max|v
+				} else {
+					sum.Min, sum.Max = min(sum.Min, v), max(sum.Max, v)
+				}
 			}
 		}
 		n := uvarintLen(prev)
@@ -81,12 +86,13 @@ func msiRows(t testing.TB, n int) ([]uint64, int) {
 
 // TestEncodeRowsMatchesColumnEncoder: the one-pass encoder writes exactly
 // the reference encoder's bytes and summaries, on msi rows and on random
-// rows whose columns mix constants, runs of every length and dense noise.
+// rows whose columns mix constants, runs of every length and dense noise,
+// some of them summarized as fired-rule words.
 func TestEncodeRowsMatchesColumnEncoder(t *testing.T) {
-	check := func(name string, rows []uint64, nsig int) {
+	check := func(name string, rows []uint64, nsig, nreg int) {
 		t.Helper()
-		got, gotSums := encodeRows(nil, 99, rows, nsig)
-		want, wantSums := encodeRowsByColumn(99, rows, nsig)
+		got, gotSums := encodeRows(nil, 99, rows, nsig, nreg)
+		want, wantSums := encodeRowsByColumn(99, rows, nsig, nreg)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: chunk bytes differ from the reference encoder (%d vs %d bytes)", name, len(got), len(want))
 		}
@@ -98,7 +104,7 @@ func TestEncodeRowsMatchesColumnEncoder(t *testing.T) {
 	}
 	for _, n := range []int{1, 2, 1024} {
 		rows, nsig := msiRows(t, n)
-		check("msi", rows, nsig)
+		check("msi", rows, nsig, nsig)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -115,7 +121,7 @@ func TestEncodeRowsMatchesColumnEncoder(t *testing.T) {
 				rows[i*nsig+s] = v
 			}
 		}
-		check("random", rows, nsig)
+		check("random", rows, nsig, rng.Intn(nsig+1))
 	}
 }
 
@@ -126,6 +132,6 @@ func BenchmarkEncodeRowsMSI(b *testing.B) {
 	var e chunkEncoder
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.encode(0, rows, nsig)
+		e.encode(0, rows, nsig, nsig)
 	}
 }

@@ -65,7 +65,7 @@ func FuzzChunk(f *testing.F) {
 	for i := uint64(0); i < 64; i++ {
 		rows = append(rows, 5, i/9, i*i*1e9)
 	}
-	good, _ := encodeRows(nil, 64, rows, 3)
+	good, _ := encodeRows(nil, 64, rows, 3, 3)
 	f.Add(good, uint8(3))
 	f.Add(good[:len(good)-1], uint8(3))
 	f.Add([]byte("KTRC\x01\x00\x00\x00"), uint8(1))
@@ -100,7 +100,9 @@ func FuzzChunk(f *testing.F) {
 		for i, b := range data[:n] {
 			rows[i] = uint64(b%4) << (b / 4 % 64)
 		}
-		enc, sums := encodeRows(nil, 9, rows, int(nsig))
+		// The second half of the columns are summarized as fired-rule words.
+		nreg := int(nsig) / 2
+		enc, sums := encodeRows(nil, 9, rows, int(nsig), nreg)
 		v, err := parseChunk(enc, int(nsig))
 		if err != nil {
 			t.Fatalf("parseChunk rejected encodeRows output: %v", err)
@@ -115,8 +117,8 @@ func FuzzChunk(f *testing.F) {
 					t.Fatalf("signal %d row %d = %d, want %d", s, i, x, want)
 				}
 			}
-			if sums[s] != sumOf(col) {
-				t.Fatalf("signal %d summary %+v, want %+v", s, sums[s], sumOf(col))
+			if want := sumOf(col, s >= nreg); sums[s] != want {
+				t.Fatalf("signal %d summary %+v, want %+v", s, sums[s], want)
 			}
 		}
 	})

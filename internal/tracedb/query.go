@@ -103,16 +103,19 @@ func (q Query) String() string {
 }
 
 // constraint is one index-prunable conjunct of the predicate: a comparison
-// between a signal read and a constant. A chunk whose [min, max] summary
-// cannot satisfy every constraint cannot contain a match.
+// between a signal read and a constant, or a fired(rule) term. A chunk
+// whose summary cannot satisfy every constraint cannot contain a match.
 type constraint struct {
 	sig int
-	op  ast.Op
+	op  ast.Op // OpSlice: fired(rule), bit mask c of fired-rule word sig
 	c   uint64
 	rev bool // constant on the left: c OP signal
 }
 
 func (ct constraint) admits(s SigSum) bool {
+	if ct.op == ast.OpSlice { // the rule fired in some cycle: the OR has its bit
+		return s.Max&ct.c != 0
+	}
 	if !ct.rev {
 		switch ct.op {
 		case ast.OpEq:
@@ -140,12 +143,16 @@ func (ct constraint) admits(s SigSum) bool {
 }
 
 // constraintsOf decomposes a checked predicate's top-level conjunctions
-// and keeps every `signal OP constant` conjunct as an index constraint.
-// Signal i is register i of d. The predicate is still evaluated in full on
-// surviving rows; constraints only rule chunks out, so missing one (an OR,
-// a signed compare, an arithmetic subterm) costs scan time, never
-// correctness.
+// and keeps every `signal OP constant` and every fired(rule) conjunct as
+// an index constraint. Signal i is register i of d; fired-rule word w is
+// column len(d.Registers)+w. The predicate is still evaluated in full on
+// surviving rows; constraints only rule chunks out, so missing one (an
+// OR, a signed compare, an arithmetic subterm, a negated fired(rule))
+// costs scan time, never correctness.
 func constraintsOf(d *ast.Design, n *ast.Node) []constraint {
+	if word, bit, ok := debug.FiredBit(n); ok {
+		return []constraint{{sig: len(d.Registers) + word, op: ast.OpSlice, c: 1 << bit}}
+	}
 	if n.Kind != ast.KBinop {
 		return nil
 	}

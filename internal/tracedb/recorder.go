@@ -113,7 +113,7 @@ func Resume(dir string, fsys faultinj.FS) (*Recorder, error) {
 			// Rows landed after the last commit into a file the index
 			// credits: cut the file back to the credited rows, so a later
 			// index rebuild cannot adopt rows the recording no longer holds.
-			data, _ := r.enc.encode(c.Start, v.appendRows(nil, int(c.Count)), r.nsig)
+			data, _ := r.enc.encode(c.Start, v.appendRows(nil, int(c.Count)), r.nsig, len(r.meta.Signals))
 			if err := r.land(c.Start, data, true); err != nil {
 				return nil, err
 			}
@@ -218,7 +218,7 @@ func (r *Recorder) closeBuffer() error {
 // any shorter version of it from an earlier flush — one the durable index
 // credits when it ends past bufStart.
 func (r *Recorder) writeBuffer() (ChunkInfo, error) {
-	data, sums := r.enc.encode(r.bufStart, r.buf, r.nsig)
+	data, sums := r.enc.encode(r.bufStart, r.buf, r.nsig, len(r.meta.Signals))
 	if err := r.land(r.bufStart, data, r.bufStart < r.durableEnd); err != nil {
 		return ChunkInfo{}, err
 	}
@@ -417,7 +417,7 @@ func (r *Recorder) commitCut() error {
 	var data []byte
 	if r.bufRows > 0 {
 		var sums []SigSum
-		data, sums = r.enc.encode(r.bufStart, r.buf, r.nsig)
+		data, sums = r.enc.encode(r.bufStart, r.buf, r.nsig, len(r.meta.Signals))
 		entries = append(slices.Clip(entries), ChunkInfo{Start: r.bufStart, Count: uint64(r.bufRows), Sums: sums})
 	}
 	if err := r.commit(entries); err != nil {

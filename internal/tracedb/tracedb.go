@@ -13,7 +13,8 @@
 //	c<N>.ktrc     one chunk of consecutive cycles starting at cycle N,
 //	              columnar (constant, dense or run-length), CRC-32C trailed
 //	index.ktix    the cycle index: every chunk's extent plus per-column
-//	              min/max/changed summaries, CRC-32C trailed
+//	              summaries (min/max/changed; AND/OR/changed for a
+//	              fired-rule word), CRC-32C trailed
 //
 // A row holds one column per signal, then, when the schema lists rules,
 // ceil(rules/64) fired-rule words: bit i%64 of word i/64 is set when rule
@@ -60,10 +61,14 @@ const (
 	chunkMagic = "KTRC"
 	indexMagic = "KTIX"
 	// formatVer is the recording format meta.json declares: 2 added the
-	// rule list and its fired-rule columns. The chunk and index layouts are
-	// unchanged since format 1 (layoutVer), so both formats share them.
+	// rule list and its fired-rule columns. The chunk layout is unchanged
+	// since format 1 (chunkVer), so both formats share it. indexVer 2
+	// summarizes a fired-rule word by its AND and OR, where 1 held its
+	// numeric min and max: a version 1 index fails to decode and is
+	// rebuilt from the chunks.
 	formatVer = 2
-	layoutVer = 1
+	chunkVer  = 1
+	indexVer  = 2
 	crcLen    = 4
 
 	// DefaultChunkCycles is the default chunk extent. 1024 keeps chunk
@@ -187,8 +192,11 @@ func (m Meta) equalSignals(o Meta) bool {
 	return true
 }
 
-// SigSum is one signal's per-chunk summary: the value range and whether the
-// value varies inside the chunk. For an unchanged signal Min == Max is the
+// SigSum is one column's per-chunk summary: the value range and whether the
+// value varies inside the chunk. A fired-rule word's column instead keeps
+// the bitwise AND of its words in Min (the rules that fired every cycle)
+// and their OR in Max (the rules that fired at all); AND == OR exactly
+// when every word is equal. For an unchanged column Min == Max is the
 // value itself, so a query whose read set is unchanged across a chunk is
 // answered from the index without touching the chunk file.
 type SigSum struct {
@@ -234,10 +242,11 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1)*9 + 64) / 64 }
 // A constant column is encConst; a changing one takes whichever of
 // encDense and encRuns is smaller, so a register that changes on a few
 // cycles costs a few pairs, not a value per row. Columns are the schema's
-// (Meta.Columns): the signals, then the fired-rule words.
-func encodeRows(dst []byte, start uint64, rows []uint64, nsig int) ([]byte, []SigSum) {
+// (Meta.Columns): the signals, then the fired-rule words, which start at
+// column nreg and are summarized bitwise.
+func encodeRows(dst []byte, start uint64, rows []uint64, nsig, nreg int) ([]byte, []SigSum) {
 	e := chunkEncoder{buf: dst}
-	return e.encode(start, rows, nsig)
+	return e.encode(start, rows, nsig, nreg)
 }
 
 // chunkEncoder is encodeRows with its scratch kept between chunks. The
@@ -261,10 +270,10 @@ type move struct {
 	v        uint64
 }
 
-func (e *chunkEncoder) encode(start uint64, rows []uint64, nsig int) ([]byte, []SigSum) {
+func (e *chunkEncoder) encode(start uint64, rows []uint64, nsig, nreg int) ([]byte, []SigSum) {
 	count := len(rows) / nsig
 	buf := append(e.buf[:0], chunkMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, layoutVer)
+	buf = binary.LittleEndian.AppendUint16(buf, chunkVer)
 	buf = binary.LittleEndian.AppendUint16(buf, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, start)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
@@ -317,6 +326,13 @@ func (e *chunkEncoder) encode(start uint64, rows []uint64, nsig int) ([]byte, []
 		n := uvarintLen(last)
 		g.dense += n * (count - lastStart)
 		g.runs += n + uvarintLen(uint64(count-lastStart))
+		if s >= nreg {
+			// A fired-rule word: the AND and OR of its values.
+			g.sum.Min, g.sum.Max = rows[s], rows[s]
+			for _, m := range ms {
+				g.sum.Min, g.sum.Max = g.sum.Min&m.v, g.sum.Max|m.v
+			}
+		}
 		g.sum.Changed = g.nmov > 0
 		sums[s] = g.sum
 		switch {
@@ -375,7 +391,7 @@ func parseChunk(data []byte, nsig int) (*chunkView, error) {
 	if string(data[:4]) != chunkMagic {
 		return nil, corruptf("bad chunk magic %q", data[:4])
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != layoutVer {
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != chunkVer {
 		return nil, corruptf("unsupported chunk version %d", v)
 	}
 	body := data[:len(data)-crcLen]
@@ -518,11 +534,15 @@ func (v *chunkView) appendRows(dst []uint64, n int) []uint64 {
 	return dst
 }
 
-// sumOf summarizes one decoded column.
-func sumOf(col []uint64) SigSum {
+// sumOf summarizes one decoded column; word marks a fired-rule word.
+func sumOf(col []uint64, word bool) SigSum {
 	sum := SigSum{Min: col[0], Max: col[0]}
 	for _, v := range col[1:] {
-		sum.Min, sum.Max = min(sum.Min, v), max(sum.Max, v)
+		if word {
+			sum.Min, sum.Max = sum.Min&v, sum.Max|v
+		} else {
+			sum.Min, sum.Max = min(sum.Min, v), max(sum.Max, v)
+		}
 	}
 	sum.Changed = sum.Min != sum.Max
 	return sum
@@ -532,14 +552,15 @@ func sumOf(col []uint64) SigSum {
 
 // encodeIndex serializes the cycle index. Layout, little-endian: magic
 // "KTIX", version, reserved, signal count (uvarint, must match meta), chunk
-// count (uvarint), then per chunk: start, count, and per signal a flags
-// byte (bit 0 = changed) plus min and max uvarints; CRC-32C trailer.
+// count (uvarint), then per chunk: start, count, and per column a flags
+// byte (bit 0 = changed) plus the SigSum's Min and Max uvarints; CRC-32C
+// trailer.
 // Binary, not JSON: min/max are full 64-bit payloads and JSON numbers lose
 // bits past 2^53.
 func encodeIndex(nsig int, chunks []ChunkInfo) []byte {
 	buf := make([]byte, 0, 16+len(chunks)*(4+nsig*4))
 	buf = append(buf, indexMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, layoutVer)
+	buf = binary.LittleEndian.AppendUint16(buf, indexVer)
 	buf = binary.LittleEndian.AppendUint16(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(nsig))
 	buf = binary.AppendUvarint(buf, uint64(len(chunks)))
@@ -566,7 +587,7 @@ func decodeIndex(data []byte, nsig int) ([]ChunkInfo, error) {
 	if string(data[:4]) != indexMagic {
 		return nil, corruptf("bad index magic %q", data[:4])
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != layoutVer {
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != indexVer {
 		return nil, corruptf("unsupported index version %d", v)
 	}
 	body := data[:len(data)-crcLen]
@@ -707,7 +728,7 @@ func loadState(dir string, fsys faultinj.FS) (Meta, []ChunkInfo, error) {
 		// No (usable) index: rebuild it by decoding every chunk file. Corrupt
 		// chunks are quarantined here rather than discovered one query at a
 		// time.
-		chunks, err = rebuildIndex(dir, fsys, meta.Columns())
+		chunks, err = rebuildIndex(dir, fsys, meta)
 		if err != nil {
 			return meta, nil, err
 		}
@@ -718,7 +739,8 @@ func loadState(dir string, fsys faultinj.FS) (Meta, []ChunkInfo, error) {
 
 // rebuildIndex scans the directory for chunk files and recomputes every
 // summary, quarantining undecodable chunks.
-func rebuildIndex(dir string, fsys faultinj.FS, nsig int) ([]ChunkInfo, error) {
+func rebuildIndex(dir string, fsys faultinj.FS, meta Meta) ([]ChunkInfo, error) {
+	nsig := meta.Columns()
 	starts, err := chunkStarts(dir, fsys)
 	if err != nil {
 		return nil, err
@@ -737,7 +759,7 @@ func rebuildIndex(dir string, fsys faultinj.FS, nsig int) ([]ChunkInfo, error) {
 		}
 		sums := make([]SigSum, nsig)
 		for s := range sums {
-			sums[s] = sumOf(v.col(s))
+			sums[s] = sumOf(v.col(s), s >= len(meta.Signals))
 		}
 		chunks = append(chunks, ChunkInfo{Start: start, Count: uint64(v.count), Sums: sums})
 	}

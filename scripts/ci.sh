@@ -175,7 +175,9 @@ echo "== kdap smoke (DAP session vs local backend and routed fleet)"
 # Real processes end to end: two ksimd backends plus a router over a shared
 # store, a kdap bridge in TCP mode, and a scripted DAP client — attach,
 # conditional breakpoint, continue, trace-query evaluate, stepBack,
-# reverseContinue — run against a backend directly and through the router.
+# reverseContinue, then a rule (function) breakpoint, continue to it and
+# reverseContinue back to its previous hit — run against a backend directly
+# and through the router.
 bash scripts/kdap-smoke.sh
 
 echo "CI OK"

@@ -1,9 +1,10 @@
 // Command kdap-smoke is the CI gate for the Debug Adapter Protocol bridge:
 // it builds ksimd and kdap, stands up a two-backend fleet behind a ksimd
 // router (all real processes, shared durable store), and drives the
-// scripted DAP session of the acceptance criteria — attach → conditional
-// breakpoint → continue → evaluate (trace query) → stepBack →
-// reverseContinue — twice: once against a backend daemon directly, once
+// scripted DAP session — attach → conditional breakpoint → continue →
+// evaluate (trace query) → stepBack → reverseContinue, then a function
+// breakpoint on a rule → continue to it → reverseContinue back to its
+// previous hit — twice: once against a backend daemon directly, once
 // against the routed fleet session. A failure anywhere exits 1.
 //
 // Usage (from the repo root):
@@ -16,10 +17,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -154,7 +157,7 @@ func dapSession(ctx context.Context, kdap, tmp, name, url string) error {
 	if body(ev)["reason"] != "breakpoint" {
 		return fmt.Errorf("continue stopped with %v, want breakpoint", body(ev)["reason"])
 	}
-	hit, err := d.frameCycle()
+	hit, _, err := d.stack()
 	if err != nil {
 		return err
 	}
@@ -181,7 +184,7 @@ func dapSession(ctx context.Context, kdap, tmp, name, url string) error {
 	if _, err := d.waitEvent("stopped"); err != nil {
 		return err
 	}
-	if cyc, err := d.frameCycle(); err != nil || cyc != hit-1 {
+	if cyc, _, err := d.stack(); err != nil || cyc != hit-1 {
 		return fmt.Errorf("stepBack landed at cycle %d (err %v), want %d", cyc, err, hit-1)
 	}
 
@@ -191,10 +194,52 @@ func dapSession(ctx context.Context, kdap, tmp, name, url string) error {
 	if _, err := d.waitEvent("stopped"); err != nil {
 		return err
 	}
-	if cyc, err := d.frameCycle(); err != nil || cyc != 0 {
+	if cyc, _, err := d.stack(); err != nil || cyc != 0 {
 		return fmt.Errorf("reverseContinue landed at cycle %d (err %v), want 0", cyc, err)
 	}
 	fmt.Printf("  [%s] stepBack + reverseContinue rewound to cycle 0\n", name)
+
+	// Rule level: swap the condition for a function breakpoint on the
+	// rule that starts each collatz run, continue to two of its hits, and
+	// reverseContinue back to the first.
+	if _, err := d.roundTrip("setBreakpoints", map[string]any{"breakpoints": []any{}}); err != nil {
+		return err
+	}
+	resp, err = d.roundTrip("setFunctionBreakpoints", map[string]any{
+		"breakpoints": []map[string]any{{"name": "restart"}},
+	})
+	if err != nil {
+		return err
+	}
+	if bps, _ := body(resp)["breakpoints"].([]any); len(bps) != 1 || bps[0].(map[string]any)["verified"] != true {
+		return fmt.Errorf("function breakpoint not verified: %v", bps)
+	}
+	var hits []uint64
+	for _, cmd := range []string{"continue", "continue", "reverseContinue"} {
+		if _, err := d.roundTrip(cmd, map[string]any{"threadId": 1}); err != nil {
+			return err
+		}
+		ev, err := d.waitEvent("stopped")
+		if err != nil {
+			return err
+		}
+		if body(ev)["reason"] != "breakpoint" {
+			return fmt.Errorf("%s stopped with %v, want breakpoint", cmd, body(ev)["reason"])
+		}
+		cyc, rules, err := d.stack()
+		if err != nil {
+			return err
+		}
+		if !slices.Contains(rules, "restart") {
+			return fmt.Errorf("%s stopped at cycle %d with stack %v, want restart in it", cmd, cyc, rules)
+		}
+		hits = append(hits, cyc)
+	}
+	if hits[0] == 0 || hits[1] <= hits[0] || hits[2] != hits[0] {
+		return fmt.Errorf("restart hits at cycles %v, want two ascending hits and reverseContinue back to the first", hits)
+	}
+	fmt.Printf("  [%s] function breakpoint restart hit at cycles %d and %d; reverseContinue returned to %d\n",
+		name, hits[0], hits[1], hits[2])
 
 	if _, err := d.roundTrip("disconnect", nil); err != nil {
 		return err
@@ -246,23 +291,11 @@ func (d *dapClient) recv() (map[string]any, error) {
 		return nil, fmt.Errorf("message without Content-Length")
 	}
 	buf := make([]byte, length)
-	if _, err := readFull(d.r, buf); err != nil {
+	if _, err := io.ReadFull(d.r, buf); err != nil {
 		return nil, err
 	}
 	var m map[string]any
 	return m, json.Unmarshal(buf, &m)
-}
-
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		k, err := r.Read(buf[n:])
-		n += k
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 func (d *dapClient) roundTrip(cmd string, args any) (map[string]any, error) {
@@ -304,22 +337,29 @@ func (d *dapClient) waitEvent(name string) (map[string]any, error) {
 	}
 }
 
-func (d *dapClient) frameCycle() (uint64, error) {
+// stack returns the cycle the stack frames name and what each names: the
+// rules that fired into that cycle, or the design alone ("<name> @ cycle
+// N" either way).
+func (d *dapClient) stack() (uint64, []string, error) {
 	resp, err := d.roundTrip("stackTrace", map[string]any{"threadId": 1})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	frames, _ := body(resp)["stackFrames"].([]any)
-	if len(frames) != 1 {
-		return 0, fmt.Errorf("stackTrace returned %d frames", len(frames))
+	if len(frames) == 0 {
+		return 0, nil, fmt.Errorf("stackTrace returned no frames")
 	}
-	fname, _ := frames[0].(map[string]any)["name"].(string)
-	var design string
 	var cycle uint64
-	if _, err := fmt.Sscanf(fname, "%s @ cycle %d", &design, &cycle); err != nil {
-		return 0, fmt.Errorf("frame name %q: %w", fname, err)
+	var names []string
+	for _, f := range frames {
+		fname, _ := f.(map[string]any)["name"].(string)
+		var what string
+		if _, err := fmt.Sscanf(fname, "%s @ cycle %d", &what, &cycle); err != nil {
+			return 0, nil, fmt.Errorf("frame name %q: %w", fname, err)
+		}
+		names = append(names, what)
 	}
-	return cycle, nil
+	return cycle, names, nil
 }
 
 func (d *dapClient) evaluate(expr string) (string, error) {
